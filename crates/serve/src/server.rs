@@ -40,6 +40,20 @@
 //! [`ServeOptions::max_connections`] with a `BUSY` line, and cleans up
 //! its socket on every exit path.
 //!
+//! # Keep-alive and shutdown
+//!
+//! A connection carries any number of requests, and clients keep one
+//! idle connection per thread (see [`crate::client`]), so a handler
+//! spends most of its life blocked reading the next line. Each request
+//! line must arrive whole within [`ServeOptions::read_timeout`] and fit
+//! in [`MAX_LINE_BYTES`] (a longer one gets `ERR - request line too
+//! long` and a close), so an idle or trickling peer is evicted on the
+//! deadline and never grows the buffer past the cap. Every live
+//! connection is registered with the server: a shutdown shuts down the
+//! read side of each, which releases idle handlers at once, while a
+//! handler with a request in flight finishes it and sends the reply
+//! before it closes.
+//!
 //! # The backend seam
 //!
 //! This crate cannot depend on the experiment runner (the umbrella crate
@@ -50,7 +64,7 @@
 //! of real multi-second simulations.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::Shutdown;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,7 +76,7 @@ use crate::key::CellKey;
 use crate::proto::{self, CellReply, CellSpec, Request};
 use crate::record::CellRecord;
 use crate::store::ResultCache;
-use crate::transport::{Conn, Endpoint, Listener};
+use crate::transport::{Conn, Endpoint, LineReader, Listener, Next, MAX_LINE_BYTES};
 
 /// How a server derives keys and simulates cells. Implementations must
 /// be pure: the same spec always yields the same key and (up to
@@ -112,14 +126,18 @@ pub struct ServeOptions {
     /// (`AUTH <token>`); `None` disables authentication. Mandatory for
     /// TCP listeners — enforced by the `fusesim` CLI.
     pub auth_token: Option<String>,
-    /// Per-connection read deadline: a peer that goes quiet longer than
-    /// this is disconnected instead of pinning its handler thread.
+    /// Per-line read deadline: each request line, the wait for its
+    /// first byte included, must arrive whole within this, so a peer
+    /// that goes quiet (or trickles bytes) is disconnected instead of
+    /// pinning its handler thread. It is also how long an idle
+    /// keep-alive connection is kept.
     pub read_timeout: Duration,
     /// Per-connection write deadline: a peer that stops draining its
     /// socket is disconnected.
     pub write_timeout: Duration,
     /// Maximum concurrent connection handlers; connections over the
-    /// limit get one `BUSY` line and are closed.
+    /// limit get one `BUSY` line and are closed. An idle keep-alive
+    /// connection holds its slot until the read deadline evicts it.
     pub max_connections: usize,
     /// The `retry-after` hint (milliseconds) sent with `BUSY` replies.
     pub busy_retry_ms: u64,
@@ -256,6 +274,11 @@ struct Shared {
     coalesced: AtomicU64,
     panicked: AtomicU64,
     active_conns: AtomicUsize,
+    /// Connections handed to a handler so far; also the next handler id.
+    accepted: AtomicU64,
+    /// A handle on every live handler's connection, by handler id, so a
+    /// shutdown can release handlers blocked reading an idle peer.
+    live: Mutex<HashMap<u64, Conn>>,
     /// Endpoints of every live serve loop; a shutdown pokes each so
     /// acceptors blocked in `accept` observe the flag.
     wakers: Mutex<Vec<Endpoint>>,
@@ -453,10 +476,30 @@ impl Shared {
             .collect()
     }
 
-    /// Sets the stop flag and pokes every registered serve loop so
-    /// acceptors blocked in `accept` re-check it.
+    /// Registers a handle on a connection about to get a handler, so a
+    /// shutdown can release it. `None` once shutdown has begun: the flag
+    /// is checked under the registry lock, so no handler can start after
+    /// `shutdown_and_wake` swept the registry and miss the sweep.
+    fn track(&self, conn: Conn) -> Option<u64> {
+        let mut live = self.live.lock().expect("live lock");
+        if self.shutdown.load(Ordering::Acquire) {
+            return None;
+        }
+        let id = self.accepted.fetch_add(1, Ordering::Relaxed);
+        live.insert(id, conn);
+        Some(id)
+    }
+
+    /// Sets the stop flag, shuts down the read side of every live
+    /// connection — a handler blocked reading an idle peer sees
+    /// end-of-stream at once, one with a request in flight finishes and
+    /// replies first — and pokes every registered serve loop so
+    /// acceptors blocked in `accept` re-check the flag.
     fn shutdown_and_wake(&self) {
         self.shutdown.store(true, Ordering::Release);
+        for conn in self.live.lock().expect("live lock").values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
         let wakers: Vec<Endpoint> = self.wakers.lock().expect("wakers lock").clone();
         for endpoint in wakers {
             endpoint.wake();
@@ -485,16 +528,20 @@ fn reply_ok(spec: &CellSpec, cached: bool, key: &CellKey, rec: &CellRecord) -> C
     }
 }
 
-/// Decrements the live-connection gauge and marks the handler thread
-/// reapable — via `Drop`, so a panicking handler still releases its
-/// capacity slot.
+/// Unregisters the handler's connection, decrements the live-connection
+/// gauge and marks the handler thread reapable — via `Drop`, so a
+/// panicking handler still releases its capacity slot.
 struct HandlerGuard {
     shared: Arc<Shared>,
+    id: u64,
     done: Arc<AtomicBool>,
 }
 
 impl Drop for HandlerGuard {
     fn drop(&mut self) {
+        if let Ok(mut live) = self.shared.live.lock() {
+            live.remove(&self.id);
+        }
         self.shared.active_conns.fetch_sub(1, Ordering::AcqRel);
         self.done.store(true, Ordering::Release);
     }
@@ -525,6 +572,8 @@ impl Server {
             coalesced: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
+            accepted: AtomicU64::new(0),
+            live: Mutex::new(HashMap::new()),
             wakers: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             #[cfg(test)]
@@ -582,6 +631,13 @@ impl Server {
         self.shared.active_conns.load(Ordering::Acquire)
     }
 
+    /// Connections handed to a handler so far, across all serve loops
+    /// (over-capacity refusals excluded). Keep-alive clients make this
+    /// count dials, not requests.
+    pub fn accepted_connections(&self) -> u64 {
+        self.shared.accepted.load(Ordering::Relaxed)
+    }
+
     /// The underlying cache (for stats reporting).
     pub fn cache(&self) -> &Arc<ResultCache> {
         &self.shared.cache
@@ -604,8 +660,10 @@ impl Server {
     /// listener sharing the cache and worker pool. Accept errors are
     /// transient (bounded retries with backoff); finished handler threads
     /// are reaped as the loop runs and all remaining handlers are joined
-    /// before this returns, so every accepted batch completes. Call
-    /// [`Server::join`] afterwards to retire the worker pool.
+    /// before this returns, so every accepted batch completes — idle
+    /// keep-alive connections are released by the shutdown rather than
+    /// waited out. Call [`Server::join`] afterwards to retire the worker
+    /// pool.
     ///
     /// # Errors
     ///
@@ -625,7 +683,7 @@ impl Server {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break Ok(());
             }
-            let conn = match listener.accept() {
+            let mut conn = match listener.accept() {
                 Ok(c) => {
                     consecutive_errors = 0;
                     c
@@ -649,15 +707,22 @@ impl Server {
             }
             reap_finished(&mut handlers);
             if self.shared.active_conns.load(Ordering::Acquire) >= opts.max_connections.max(1) {
-                let mut conn = conn;
                 let _ = conn.set_write_timeout(Some(opts.write_timeout));
-                let _ = writeln!(conn, "{}", proto::busy_line(opts.busy_retry_ms));
+                let _ = conn.send_line(&proto::busy_line(opts.busy_retry_ms));
                 continue;
             }
+            let Ok(handle) = conn.try_clone() else {
+                continue;
+            };
+            let Some(id) = self.shared.track(handle) else {
+                // Shutdown began since the check above.
+                break Ok(());
+            };
             self.shared.active_conns.fetch_add(1, Ordering::AcqRel);
             let done = Arc::new(AtomicBool::new(false));
             let guard = HandlerGuard {
                 shared: self.shared.clone(),
+                id,
                 done: done.clone(),
             };
             let shared = self.shared.clone();
@@ -671,7 +736,8 @@ impl Server {
             match spawned {
                 Ok(handle) => handlers.push((done, handle)),
                 // Spawn failure dropped the closure (and its guard), so
-                // the gauge is already balanced; the connection is gone.
+                // the gauge and the registry are already balanced; the
+                // connection is gone.
                 Err(_) => continue,
             }
         };
@@ -735,22 +801,32 @@ fn reap_finished(handlers: &mut Vec<(Arc<AtomicBool>, JoinHandle<()>)>) {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, conn: Conn, opts: &ServeOptions) {
-    let _ = conn.set_read_timeout(Some(opts.read_timeout));
+/// Serves one connection's requests in order, each reply in one write,
+/// until the peer leaves, breaks a rule, or the server shuts down.
+fn handle_conn(shared: &Arc<Shared>, mut conn: Conn, opts: &ServeOptions) {
     let _ = conn.set_write_timeout(Some(opts.write_timeout));
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(conn);
+    let Ok(mut reader) = LineReader::new(read_half, MAX_LINE_BYTES, opts.read_timeout) else {
+        return;
+    };
     let mut authed = opts.auth_token.is_none();
-    for line in reader.lines() {
-        // A read deadline expiry surfaces as an Err line: drop the peer.
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = proto::parse_request(&line);
+    loop {
+        let request = match reader.next_line() {
+            Next::Line(bytes) => match std::str::from_utf8(bytes) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => proto::parse_request(text),
+                Err(_) => Err("request line is not UTF-8".to_string()),
+            },
+            // End of stream, a failed read, or a line that missed its
+            // deadline: drop the peer.
+            Next::Gone => return,
+            Next::TooLong => {
+                let _ = conn.send_line("ERR - request line too long");
+                return;
+            }
+        };
         if !authed {
             let accepted = matches!(
                 &request,
@@ -760,62 +836,65 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn, opts: &ServeOptions) {
             if !accepted {
                 // One ERR line, then the connection is closed — an
                 // unauthenticated peer gets nothing else.
-                let _ = writeln!(writer, "ERR - authentication required");
-                let _ = writer.flush();
+                let _ = conn.send_line("ERR - authentication required");
                 return;
             }
             authed = true;
-            if writeln!(writer, "{}", proto::AUTH_OK).is_err() || writer.flush().is_err() {
-                break;
+            if conn.send_line(proto::AUTH_OK).is_err() {
+                return;
             }
             continue;
         }
-        let ok = match request {
+        let reply = match request {
             Ok(Request::Auth(token)) => match &opts.auth_token {
                 Some(expected) if !auth::token_eq(&token, expected) => {
-                    let _ = writeln!(writer, "ERR - authentication rejected");
-                    let _ = writer.flush();
+                    let _ = conn.send_line("ERR - authentication rejected");
                     return;
                 }
-                _ => writeln!(writer, "{}", proto::AUTH_OK).is_ok(),
+                _ => proto::AUTH_OK.to_string(),
             },
-            Ok(Request::Ping) => writeln!(writer, "PONG").is_ok(),
+            Ok(Request::Ping) => "PONG".to_string(),
             Ok(Request::Stats) => {
                 let s = shared.cache.stats();
                 let c = shared.coalesced.load(Ordering::Relaxed);
                 let p = shared.panicked.load(Ordering::Relaxed);
-                writeln!(writer, "{}", proto::stats_line(&s, c, p)).is_ok()
+                proto::stats_line(&s, c, p)
             }
             Ok(Request::Shutdown) => {
-                let _ = writeln!(writer, "BYE");
-                let _ = writer.flush();
+                let _ = conn.send_line("BYE");
                 shared.shutdown_and_wake();
                 return;
             }
-            Ok(Request::Sweep(cells)) => match shared.try_resolve_batch(&cells) {
-                Some(replies) => {
-                    let mut hits = 0u64;
-                    let mut misses = 0u64;
-                    let mut errors = 0u64;
-                    let mut ok = true;
-                    for r in &replies {
-                        match r {
-                            CellReply::Ok { cached: true, .. } => hits += 1,
-                            CellReply::Ok { cached: false, .. } => misses += 1,
-                            CellReply::Err { .. } => errors += 1,
-                        }
-                        ok &= writeln!(writer, "{}", r.line()).is_ok();
-                    }
-                    ok && writeln!(writer, "{}", proto::done_line(hits, misses, errors)).is_ok()
-                }
-                None => writeln!(writer, "{}", proto::busy_line(opts.busy_retry_ms)).is_ok(),
-            },
-            Err(e) => writeln!(writer, "ERR - {e}").is_ok(),
+            Ok(Request::Sweep(cells)) => sweep_reply(shared, &cells, opts.busy_retry_ms),
+            Err(e) => format!("ERR - {e}"),
         };
-        if !ok || writer.flush().is_err() {
-            break;
+        // After a shutdown, the request in hand is answered, then the
+        // connection closes.
+        if conn.send_line(&reply).is_err() || shared.shutdown.load(Ordering::Acquire) {
+            return;
         }
     }
+}
+
+/// The whole response to a `SWEEP` — one line per cell, then `DONE` — or
+/// `BUSY` when the queue sheds it.
+fn sweep_reply(shared: &Shared, cells: &[CellSpec], busy_retry_ms: u64) -> String {
+    let Some(replies) = shared.try_resolve_batch(cells) else {
+        return proto::busy_line(busy_retry_ms);
+    };
+    let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
+    let mut out = String::new();
+    for r in &replies {
+        match r {
+            CellReply::Ok { cached: true, .. } => hits += 1,
+            CellReply::Ok { cached: false, .. } => misses += 1,
+            CellReply::Err { .. } => errors += 1,
+        }
+        out.push_str(&r.line());
+        out.push('\n');
+    }
+    out.push_str(&proto::done_line(hits, misses, errors));
+    out
 }
 
 #[cfg(test)]
@@ -823,10 +902,11 @@ mod tests {
     use super::*;
     use crate::client::{self, ClientConfig};
     use crate::key::digest_hex;
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A backend that derives keys from the spec token and fabricates
     /// deterministic records; `gate` makes `simulate` block until
@@ -922,6 +1002,26 @@ mod tests {
             workload: w.to_string(),
             config: c.to_string(),
         }
+    }
+
+    /// Polls `cond` until it holds, failing after 10 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Starts a serve loop on `listener` in a background thread.
+    fn spawn_serve(
+        server: &Arc<Server>,
+        listener: Listener,
+        opts: &ServeOptions,
+    ) -> std::thread::JoinHandle<std::io::Result<()>> {
+        let server = server.clone();
+        let opts = opts.clone();
+        std::thread::spawn(move || server.serve(&listener, &opts))
     }
 
     #[test]
@@ -1337,6 +1437,203 @@ mod tests {
         server.request_shutdown();
         acceptor.join().unwrap().unwrap();
         drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line over the cap gets one `ERR` and a close; an unauthenticated
+    /// peer trickling bytes with no newline — each gap well inside the
+    /// read deadline — is disconnected once the whole line's deadline
+    /// passes. (The reader's buffer cap is pinned in `transport`.)
+    #[test]
+    fn oversized_and_trickled_request_lines_are_cut_off() {
+        let (dir, cache) = tmp_cache("lines");
+        let server = Arc::new(Server::new(
+            Arc::new(FakeBackend::free()),
+            cache,
+            ServerConfig::default(),
+        ));
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let endpoint = listener.endpoint();
+        let opts = ServeOptions {
+            auth_token: Some("s3cr3t".to_string()),
+            read_timeout: Duration::from_millis(300),
+            ..ServeOptions::default()
+        };
+        let acceptor = spawn_serve(&server, listener, &opts);
+
+        // Exactly one byte over the cap, so the server has read all of
+        // it when it answers and closes.
+        let mut raw = endpoint.connect(Duration::from_secs(10)).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&vec![b'A'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "ERR - request line too long\n");
+
+        let mut trickler = endpoint.connect(Duration::from_secs(10)).unwrap();
+        let mut watcher = trickler.try_clone().unwrap();
+        watcher
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let start = Instant::now();
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..100 {
+                if trickler.write_all(b"A").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(30));
+            }
+        });
+        let mut buf = [0u8; 64];
+        match watcher.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected a disconnect, got {other:?}"),
+        }
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "trickling peer held its handler for {took:?}"
+        );
+        let _ = watcher.shutdown(Shutdown::Both);
+        trickle.join().unwrap();
+        server.request_shutdown();
+        acceptor.join().unwrap().unwrap();
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sequential requests from one thread ride one keep-alive
+    /// connection: one accept, one `AUTH`, one handler thread.
+    #[test]
+    fn sequential_requests_from_one_thread_share_one_connection() {
+        let (dir, cache) = tmp_cache("keepalive");
+        let server = Arc::new(Server::new(
+            Arc::new(FakeBackend::free()),
+            cache,
+            ServerConfig::default(),
+        ));
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let opts = ServeOptions {
+            auth_token: Some("s3cr3t".to_string()),
+            ..ServeOptions::default()
+        };
+        let mut cfg = ClientConfig::new(listener.endpoint());
+        cfg.auth_token = Some("s3cr3t".to_string());
+        let acceptor = spawn_serve(&server, listener, &opts);
+        for i in 0..8 {
+            let lines = client::request(&cfg, &format!("SWEEP W{}/Dy-FUSE", i % 3)).unwrap();
+            assert!(lines.last().unwrap().ends_with("errors=0"), "{lines:?}");
+        }
+        assert_eq!(client::request(&cfg, "PING").unwrap(), vec!["PONG"]);
+        assert_eq!(client::request(&cfg, "SHUTDOWN").unwrap(), vec!["BYE"]);
+        acceptor.join().unwrap().unwrap();
+        assert_eq!(server.accepted_connections(), 1);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pooled connection the server has since closed — evicted by its
+    /// read deadline, or dropped by a restart — is replaced without
+    /// spending a retry (the client has none), and the re-sent sweep
+    /// does not simulate again.
+    #[test]
+    fn closed_pooled_connection_redials_without_a_retry_or_a_resimulation() {
+        let (dir, cache) = tmp_cache("redial");
+        let backend = Arc::new(FakeBackend::free());
+        let ask = |cfg: &ClientConfig| {
+            let lines = client::request(cfg, "SWEEP ATAX/Dy-FUSE").unwrap();
+            assert!(lines.last().unwrap().ends_with("errors=0"), "{lines:?}");
+            lines
+        };
+
+        // Eviction: a 100 ms read deadline drops the idle connection.
+        let server = Arc::new(Server::new(
+            backend.clone(),
+            cache.clone(),
+            ServerConfig::default(),
+        ));
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let mut cfg = ClientConfig::new(listener.endpoint());
+        cfg.auth_token = Some("s3cr3t".to_string());
+        cfg.retries = 0;
+        let opts = ServeOptions {
+            auth_token: Some("s3cr3t".to_string()),
+            read_timeout: Duration::from_millis(100),
+            ..ServeOptions::default()
+        };
+        let acceptor = spawn_serve(&server, listener, &opts);
+        assert!(ask(&cfg)[0].contains(" computed "));
+        wait_until("idle connection evicted", || {
+            server.active_connections() == 0
+        });
+        assert!(ask(&cfg)[0].contains(" cached "));
+        assert_eq!(server.accepted_connections(), 2, "one redial");
+        server.request_shutdown();
+        acceptor.join().unwrap().unwrap();
+        drop(server);
+
+        // Restart: a new server on the same socket path and cache; the
+        // second round's request finds the first server's connection dead.
+        let sock =
+            std::env::temp_dir().join(format!("fuse_serve_redial_{}.sock", std::process::id()));
+        let mut cfg = ClientConfig::new(Endpoint::unix(&sock));
+        cfg.retries = 0;
+        for round in 0..2 {
+            let server = Arc::new(Server::new(
+                backend.clone(),
+                cache.clone(),
+                ServerConfig::default(),
+            ));
+            let acceptor = spawn_serve(
+                &server,
+                Listener::bind_unix(&sock).unwrap(),
+                &ServeOptions::default(),
+            );
+            assert!(ask(&cfg)[0].contains(" cached "), "round {round}");
+            assert_eq!(server.accepted_connections(), 1, "round {round}");
+            server.request_shutdown();
+            acceptor.join().unwrap().unwrap();
+        }
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 1, "no re-simulation");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An idle keep-alive client must not hold `serve` open for its 30 s
+    /// read deadline: `request_shutdown` and a wire `SHUTDOWN` from
+    /// another connection both return within a second.
+    #[test]
+    fn shutdown_releases_idle_keep_alive_connections_at_once() {
+        let (dir, cache) = tmp_cache("idle_shutdown");
+        for via_wire in [false, true] {
+            let server = Arc::new(Server::new(
+                Arc::new(FakeBackend::free()),
+                cache.clone(),
+                ServerConfig::default(),
+            ));
+            let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+            let cfg = ClientConfig::new(listener.endpoint());
+            let opts = ServeOptions::default();
+            assert_eq!(opts.read_timeout, Duration::from_secs(30));
+            let acceptor = spawn_serve(&server, listener, &opts);
+            // This thread now holds an idle pooled connection.
+            assert_eq!(client::request(&cfg, "PING").unwrap(), vec!["PONG"]);
+            assert_eq!(server.active_connections(), 1);
+            let start = Instant::now();
+            if via_wire {
+                let cfg = cfg.clone();
+                let bye = std::thread::spawn(move || client::request(&cfg, "SHUTDOWN"));
+                assert_eq!(bye.join().unwrap().unwrap(), vec!["BYE"]);
+            } else {
+                server.request_shutdown();
+            }
+            acceptor.join().unwrap().unwrap();
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "serve took {:?} to stop (wire: {via_wire})",
+                start.elapsed()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

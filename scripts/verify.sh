@@ -173,4 +173,12 @@ fi
 wait "$tcp_pid"
 rm -rf "$tcp_dir"
 
+# Repository benchmark: its self-tests, then a short traced serve-mix
+# run. The traced run is the path where an idle keep-alive connection
+# once pinned shutdown for the 30 s read deadline; it must exit 0.
+echo "==> perfbench self-test + traced serve-mix smoke"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-mix --seconds 2 --trace 1 >/dev/null
+
 echo "verify: OK"

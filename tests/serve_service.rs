@@ -7,10 +7,32 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use fuse::core::config::L1Preset;
 use fuse::runner::{RunConfig, ServeBackend};
+use fuse::serve::transport::MAX_LINE_BYTES;
 use fuse::serve::{
     client, ClientConfig, Listener, ResultCache, ServeOptions, Server, ServerConfig,
 };
+
+/// The request-line cap leaves wide margin over the largest legal
+/// `SWEEP`: every workload under every preset.
+#[test]
+fn the_full_grid_sweep_fits_the_request_line_cap() {
+    let cells: Vec<String> = fuse::workloads::all_workloads()
+        .iter()
+        .flat_map(|w| {
+            L1Preset::ALL
+                .iter()
+                .map(move |p| format!("{}/{}", w.name, p.name()))
+        })
+        .collect();
+    let line = format!("SWEEP {}", cells.join(" "));
+    assert!(
+        line.len() * 8 < MAX_LINE_BYTES,
+        "{} bytes for the full grid",
+        line.len()
+    );
+}
 
 #[test]
 fn tcp_service_simulates_caches_and_shuts_down_cleanly() {
