@@ -100,8 +100,6 @@ fn main() {
         configs: presets.iter().map(|p| p.name().to_string()).collect(),
         cells,
         wall_ns: t0.elapsed().as_nanos() as u64,
-        shards: None,
-        epoch_cycles: None,
         cache_hits: None,
         cache_misses: None,
     };

@@ -159,8 +159,6 @@ fn main() {
             },
         ],
         wall_ns: t0.elapsed().as_nanos() as u64,
-        shards: None,
-        epoch_cycles: None,
         cache_hits: None,
         cache_misses: None,
     };

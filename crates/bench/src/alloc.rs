@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fuse::core::config::L1Preset;
 use fuse::gpu::config::GpuConfig;
-use fuse::gpu::sharded::{ShardConfig, ShardedEngine};
 use fuse::gpu::system::GpuSystem;
 use fuse::gpu::warp::{MemOp, WarpOp, WarpProgram};
 
@@ -161,29 +160,4 @@ pub fn steady_state_delta(preset: L1Preset, warmup: u64, measure: u64) -> (u64, 
     let start_cycle = sys.stats().cycles;
     let (delta, stats) = count_allocations(|| sys.run(warmup + measure));
     (delta, stats.cycles - start_cycle)
-}
-
-/// The sharded counterpart of [`steady_state_delta`]: one persistent
-/// [`ShardedEngine`] (workers stay alive across the warmup boundary, so
-/// every mailbox, gather buffer and reply slot reaches its high-water
-/// mark before the window opens), warmed for `warmup` cycles, then
-/// measured over the next `measure` cycles.
-///
-/// The counters are process-wide, which is exactly right here: a zero
-/// delta proves the coordinator *and* every shard worker stayed off the
-/// heap — the per-shard budget of DESIGN.md §3g.
-pub fn steady_state_delta_sharded(
-    preset: L1Preset,
-    warmup: u64,
-    measure: u64,
-    cfg: &ShardConfig,
-) -> (u64, u64) {
-    let mut sys = steady_state_system(preset);
-    let mut engine = ShardedEngine::new(&mut sys, cfg).expect("valid shard config");
-    engine.run(warmup);
-    let start_cycle = engine.cycle();
-    let (delta, _) = count_allocations(|| engine.run(warmup + measure));
-    let cycles = engine.cycle() - start_cycle;
-    engine.finish();
-    (delta, cycles)
 }

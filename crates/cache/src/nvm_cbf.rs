@@ -7,8 +7,9 @@
 //! cache cycle); increments/decrements ride on the Y-port and overlap the
 //! corresponding data-array write.
 //!
-//! This module wraps one [`CountingBloomFilter`] per tag-array partition and
-//! tracks the event counts the energy model and Fig. 20 need.
+//! This module wraps one
+//! [`CountingBloomFilter`](crate::bloom::CountingBloomFilter) per tag-array
+//! partition and tracks the event counts the energy model and Fig. 20 need.
 
 use crate::bloom::{line_keys, MAX_HASHES};
 use crate::line::LineAddr;

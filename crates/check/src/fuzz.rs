@@ -11,15 +11,12 @@ use fuse_core::config::L1Preset;
 use fuse_core::controller::FuseL1;
 use fuse_gpu::config::GpuConfig;
 use fuse_gpu::l1d::{IdealL1, L1dModel};
-use fuse_gpu::sharded::ShardConfig;
-use fuse_gpu::stats::SimStats;
 use fuse_gpu::system::GpuSystem;
 use fuse_gpu::warp::{MemOp, StreamProgram, WarpOp, WarpProgram};
 use fuse_mem::dram::DramTiming;
 use fuse_workloads::rng::Xoshiro256pp;
 
 use crate::lockstep::{run_lockstep, LockstepReport};
-use crate::oracle::Oracle;
 
 /// Presets the fuzzer rotates through: the baseline, the simplest and
 /// the most elaborate FUSE hybrids, and the unbounded Oracle L1 (which
@@ -178,65 +175,6 @@ pub fn run_case(spec: &FuzzSpec) -> LockstepReport {
     run_lockstep(|| spec.build_system(), spec.max_cycles)
 }
 
-/// Outcome of a sharded-relaxed oracle audit of one fuzz case.
-///
-/// Relaxed sharding intentionally perturbs *timing* (fills wait for the
-/// next epoch boundary), so there is no bitwise-stats cross-engine diff
-/// here; the contract is that every event the sharded engine emits obeys
-/// the reference model's legality and conservation rules. See DESIGN.md
-/// §3g.
-#[derive(Debug, Clone)]
-pub struct ShardedCheckReport {
-    /// Everything the oracle objected to. Empty means the run passed.
-    pub violations: Vec<String>,
-    /// Shard count actually used (clamped to the machine's SM count —
-    /// fuzz machines have 1–4 SMs).
-    pub shards: usize,
-    /// Statistics from the sharded run.
-    pub stats: SimStats,
-}
-
-impl ShardedCheckReport {
-    /// True when the oracle raised no violation.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs one fuzz case on the sharded engine in relaxed mode with the
-/// reference-model [`Oracle`] attached. `shards` is clamped to the
-/// machine's SM count so any requested width is legal; `epoch_cycles`
-/// is the relaxed synchronization window (must be at least 1).
-pub fn run_case_sharded(spec: &FuzzSpec, shards: usize, epoch_cycles: u64) -> ShardedCheckReport {
-    let shards = shards.clamp(1, spec.sms);
-    let mut sys = spec.build_system();
-    sys.attach_check_sink(Box::new(Oracle::new(sys.config(), true)));
-    let stats = sys.run_sharded(spec.max_cycles, &ShardConfig::relaxed(shards, epoch_cycles));
-    let sink = sys.detach_check_sink().expect("oracle was attached");
-    let mut oracle = sink
-        .as_any()
-        .downcast_ref::<Oracle>()
-        .expect("sink is the oracle")
-        .clone();
-    oracle.finalize(&sys, sys.is_done());
-    let mut violations: Vec<String> = oracle
-        .violations()
-        .iter()
-        .map(|v| format!("sharded engine: {v}"))
-        .collect();
-    if oracle.suppressed() > 0 {
-        violations.push(format!(
-            "sharded engine: {} further violations suppressed",
-            oracle.suppressed()
-        ));
-    }
-    ShardedCheckReport {
-        violations,
-        shards,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,28 +204,6 @@ mod tests {
             );
             assert!(
                 report.skip_stats.instructions > 0,
-                "seed {seed} executed nothing"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_relaxed_seeds_pass_the_oracle() {
-        for seed in 0..4 {
-            let spec = FuzzSpec::from_seed(seed);
-            let report = run_case_sharded(&spec, 4, 16);
-            assert!(
-                report.ok(),
-                "seed {seed} ({spec:?}) at {} shards diverged: {:?}",
-                report.shards,
-                report.violations
-            );
-            assert!(
-                report.shards <= spec.sms,
-                "shard count must be clamped to the SM count"
-            );
-            assert!(
-                report.stats.instructions > 0,
                 "seed {seed} executed nothing"
             );
         }

@@ -24,7 +24,7 @@
 //! * [`lockstep`] — runs the same system twice, skip engine vs. tick
 //!   engine, with an oracle attached to each, and diffs the two event
 //!   streams and the final statistics bitwise.
-//! * [`fuzz`] + [`shrink`] + [`repro`] — a seeded random-trace fuzzer
+//! * [`fuzz`] + [`shrink`](mod@shrink) + [`repro`] — a seeded random-trace fuzzer
 //!   over small adversarial machines (tiny MSHRs, single-entry L2 miss
 //!   tables, starved DRAM queues), a greedy spec shrinker that minimizes
 //!   any divergence, and a text repro format so minimized cases can be
@@ -42,7 +42,7 @@ pub mod oracle;
 pub mod repro;
 pub mod shrink;
 
-pub use fuzz::{run_case, run_case_sharded, FuzzSpec, ShardedCheckReport};
-pub use lockstep::{check_workload_sharded, run_lockstep, LockstepReport};
+pub use fuzz::{run_case, FuzzSpec};
+pub use lockstep::{run_lockstep, LockstepReport};
 pub use oracle::Oracle;
 pub use shrink::shrink;

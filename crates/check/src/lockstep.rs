@@ -184,57 +184,6 @@ pub fn check_workload(
     )
 }
 
-/// Audits one paper workload on the sharded *relaxed* engine: the
-/// reference-model oracle rides along and every legality or conservation
-/// violation it raises is returned (empty means the run was clean).
-///
-/// There is no cross-engine stats diff here — relaxed sharding buys
-/// throughput by deferring fill delivery to epoch boundaries, so cycle
-/// counts legitimately differ from serial. What must NOT differ is the
-/// mechanics: requests still traverse the network no faster than its
-/// latency, DRAM still obeys its timing, nothing is created, lost or
-/// retired twice. Those are exactly the oracle's invariants, which is
-/// why it audits this mode (DESIGN.md §3g).
-pub fn check_workload_sharded(
-    spec: &WorkloadSpec,
-    preset: L1Preset,
-    gpu: &GpuConfig,
-    ops: usize,
-    max_cycles: u64,
-    shards: usize,
-    epoch_cycles: u64,
-) -> Vec<String> {
-    let mut sys = GpuSystem::new(
-        gpu.clone(),
-        |_| preset.build_model(),
-        |sm, warp| spec.program(sm, warp, ops),
-    );
-    sys.attach_check_sink(Box::new(Oracle::new(sys.config(), true)));
-    sys.run_sharded(
-        max_cycles,
-        &fuse_gpu::sharded::ShardConfig::relaxed(shards, epoch_cycles),
-    );
-    let sink = sys.detach_check_sink().expect("oracle was attached");
-    let mut oracle = sink
-        .as_any()
-        .downcast_ref::<Oracle>()
-        .expect("sink is the oracle")
-        .clone();
-    oracle.finalize(&sys, sys.is_done());
-    let mut violations: Vec<String> = oracle
-        .violations()
-        .iter()
-        .map(|v| format!("sharded engine: {v}"))
-        .collect();
-    if oracle.suppressed() > 0 {
-        violations.push(format!(
-            "sharded engine: {} further violations suppressed",
-            oracle.suppressed()
-        ));
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

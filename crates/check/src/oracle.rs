@@ -110,8 +110,8 @@ impl Oracle {
         &self.violations
     }
 
-    /// Violations beyond [`MAX_VIOLATIONS`] that were counted but not
-    /// kept.
+    /// Violations beyond the first `MAX_VIOLATIONS` (32) that were
+    /// counted but not kept.
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }

@@ -40,7 +40,7 @@ pub enum WritePolicy {
     #[default]
     WriteBack,
     /// Every store is also forwarded to L2 (prior-work assumption
-    /// [46], [17]); lines are never dirty.
+    /// \[46\], \[17\]); lines are never dirty.
     WriteThrough,
 }
 

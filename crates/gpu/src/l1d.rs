@@ -88,9 +88,9 @@ pub struct L1Response {
 /// The interface every L1D configuration implements.
 ///
 /// `Send` is a supertrait so an [`crate::sm::Sm`] (which owns its L1 as a
-/// `Box<dyn L1dModel>`) can migrate to a shard worker thread — see
-/// [`crate::sharded`]. Models hold only owned state, so in practice this
-/// costs implementors nothing.
+/// `Box<dyn L1dModel>`), and with it a whole [`crate::system::GpuSystem`],
+/// can be built on one thread and moved to another. Models hold only
+/// owned state, so in practice this costs implementors nothing.
 pub trait L1dModel: Send {
     /// One warp line-request. Called at most a few times per cycle (the
     /// coalesced lines of the instruction the SM issued).

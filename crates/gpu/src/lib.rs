@@ -57,7 +57,6 @@ pub mod convert;
 pub mod icnt;
 pub mod l1d;
 pub mod l2;
-pub mod sharded;
 pub mod slab;
 pub mod sm;
 pub mod stats;
@@ -68,7 +67,6 @@ pub mod wheel;
 pub use check::{CheckEvent, CheckSink};
 pub use config::GpuConfig;
 pub use l1d::{IdealL1, L1Access, L1Outcome, L1Response, L1dModel, OutgoingKind, OutgoingReq};
-pub use sharded::{ShardConfig, ShardMode, ShardedEngine};
 pub use sm::SchedulerPolicy;
 pub use stats::SimStats;
 pub use system::GpuSystem;

@@ -59,7 +59,7 @@ impl<T> Slab<T> {
     ///
     /// Panics if the slab would outgrow the `u32` free-list index space
     /// (more than `u32::MAX` simultaneously live entries) — the same
-    /// hard-capacity discipline as [`ChainArena::alloc`]; without it,
+    /// hard-capacity discipline as `ChainArena::alloc`; without it,
     /// [`Slab::remove`]'s free-list push would silently truncate the
     /// slot id and alias two live requests.
     pub fn insert(&mut self, value: T) -> u64 {

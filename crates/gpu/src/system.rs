@@ -138,7 +138,6 @@ pub struct GpuSystem {
     fill_buf: Vec<(usize, LineAddr)>,
     deliver_buf: Vec<Packet>,
     dram_done_buf: Vec<DramCompletion>,
-    respond_buf: Vec<(usize, L1Response)>,
     l2_out: L2Output,
 }
 
@@ -229,7 +228,6 @@ impl GpuSystem {
             fill_buf: Vec::new(),
             deliver_buf: Vec::new(),
             dram_done_buf: Vec::new(),
-            respond_buf: Vec::new(),
             l2_out: L2Output::default(),
         }
     }
@@ -541,16 +539,8 @@ impl GpuSystem {
     /// O(number of components): every term is a counter comparison, so the
     /// run loop affords calling this every cycle.
     pub fn is_done(&self) -> bool {
-        self.sms.iter().all(|sm| sm.done()) && self.mem_is_idle()
-    }
-
-    /// The memory-side half of [`GpuSystem::is_done`]: networks, trace
-    /// slab, L2 slices and DRAM all drained. The sharded coordinator
-    /// ([`crate::sharded`]) owns exactly this half while the SMs live on
-    /// worker threads, so its termination test is this plus the workers'
-    /// own done flags.
-    pub(crate) fn mem_is_idle(&self) -> bool {
-        self.req_net.is_idle()
+        self.sms.iter().all(|sm| sm.done())
+            && self.req_net.is_idle()
             && self.rsp_net.is_idle()
             && self.traces.is_empty()
             && self.pending_dram_total == 0
@@ -614,10 +604,9 @@ impl GpuSystem {
         }
     }
 
-    /// [`GpuSystem::next_event_cycle`] restricted to the shared memory
-    /// side (networks, L2, DRAM, retry queues) — the components the
-    /// sharded coordinator owns. Worker threads answer for their SMs.
-    pub(crate) fn mem_next_event(&self, now: u64) -> Option<u64> {
+    /// [`GpuSystem::next_event_cycle`] restricted to the memory side
+    /// (networks, L2, DRAM, retry queues).
+    fn mem_next_event(&self, now: u64) -> Option<u64> {
         // DRAM retry queues are serviced (and count channel rejections)
         // every cycle they are non-empty: a hard barrier.
         if self.pending_dram_total > 0 {
@@ -661,18 +650,10 @@ impl GpuSystem {
     /// provably unchanged by a dead tick (see DESIGN.md, "Event-driven
     /// cycle skipping").
     fn advance_idle(&mut self, span: u64) {
+        debug_assert!(span > 0, "empty skip");
         for sm in &mut self.sms {
             sm.advance_idle(span);
         }
-        self.advance_idle_mem(span);
-    }
-
-    /// The memory-side half of [`GpuSystem::advance_idle`]: bulk-credits
-    /// the network counters and moves the clock, leaving the SMs alone.
-    /// The sharded coordinator uses this directly — its workers apply the
-    /// matching `Sm::advance_idle` on their own threads.
-    pub(crate) fn advance_idle_mem(&mut self, span: u64) {
-        debug_assert!(span > 0, "empty skip");
         if let Some(sink) = &mut self.check {
             sink.event(CheckEvent::Skip {
                 from: self.cycle,
@@ -809,11 +790,8 @@ impl GpuSystem {
 
     /// Admits one L1 → L2 request from SM `si` into the request network:
     /// allocates the trace slot (response-expecting reads only), emits the
-    /// trace/check events and pushes the packet. Shared between the serial
-    /// inject phase and the sharded coordinator, which replays requests
-    /// collected from worker threads through this exact path so packets
-    /// enter the network in the same global SM order.
-    pub(crate) fn inject_req(&mut self, si: usize, req: OutgoingReq, now: u64) {
+    /// trace/check events and pushes the packet.
+    fn inject_req(&mut self, si: usize, req: OutgoingReq, now: u64) {
         let bank = self.cfg.l2_bank_of(req.line.0);
         let gid = if req.kind.expects_response() {
             self.traces.insert(Trace {
@@ -861,7 +839,7 @@ impl GpuSystem {
 
     /// Delivers request packets due at `now` to their L2 slices (the back
     /// half of the inject phase).
-    pub(crate) fn deliver_requests(&mut self, now: u64) {
+    fn deliver_requests(&mut self, now: u64) {
         let mut deliver = std::mem::take(&mut self.deliver_buf);
         deliver.clear();
         self.req_net.tick_into(now, &mut deliver);
@@ -991,30 +969,6 @@ impl GpuSystem {
             return;
         }
         self.component_ticks += 1;
-        let mut ready = std::mem::take(&mut self.respond_buf);
-        self.collect_responses(now, &mut ready);
-        for &(sm, rsp) in &ready {
-            self.sms[sm].push_response(now, rsp);
-            if self.active && !self.hot[sm] {
-                // A delivered fill wakes the warp: the SM has work next
-                // cycle no matter what its earlier registration said.
-                self.hot[sm] = true;
-                self.hot_count += 1;
-                self.wheel.set(sm, NEVER);
-            }
-        }
-        ready.clear();
-        self.respond_buf = ready;
-    }
-
-    /// The collection half of the respond phase: drains the response
-    /// network, retires traces, accrues the residency decomposition and
-    /// emits trace/check events, appending the `(sm, response)` pairs to
-    /// `ready` *without* delivering them. The serial engine delivers them
-    /// immediately (above); the sharded coordinator routes them to worker
-    /// mailboxes instead. Delivery order within a cycle is the network's
-    /// drain order either way.
-    pub(crate) fn collect_responses(&mut self, now: u64, ready: &mut Vec<(usize, L1Response)>) {
         let mut deliver = std::mem::take(&mut self.deliver_buf);
         self.rsp_net.tick_into(now, &mut deliver);
         for p in deliver.drain(..) {
@@ -1058,13 +1012,20 @@ impl GpuSystem {
                     at: now,
                 });
             }
-            ready.push((
-                tr.sm,
+            self.sms[tr.sm].push_response(
+                now,
                 L1Response {
                     id: tr.l1_id,
                     line: p.line,
                 },
-            ));
+            );
+            if self.active && !self.hot[tr.sm] {
+                // A delivered fill wakes the warp: the SM has work next
+                // cycle no matter what its earlier registration said.
+                self.hot[tr.sm] = true;
+                self.hot_count += 1;
+                self.wheel.set(tr.sm, NEVER);
+            }
         }
         self.deliver_buf = deliver;
     }
@@ -1256,76 +1217,6 @@ impl GpuSystem {
             completed_reads: self.completed_reads,
             num_sms: narrow(self.cfg.num_sms),
         }
-    }
-
-    // ---- sharded-engine hooks (crate-private; see `crate::sharded`) ----
-    //
-    // The sharded coordinator detaches the SM vector onto worker threads
-    // and drives the remaining memory side through these. They are thin
-    // recombinations of the serial phases above, so the two engines cannot
-    // drift: there is exactly one implementation of every phase.
-
-    /// Current simulated cycle.
-    pub(crate) fn now(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Whether event-driven cycle skipping is enabled.
-    pub(crate) fn skip_enabled(&self) -> bool {
-        self.skip
-    }
-
-    /// Whether active-set scheduling is enabled (shard workers mirror
-    /// the engine's setting for their SM-side wake caches).
-    pub(crate) fn active_set_enabled(&self) -> bool {
-        self.active
-    }
-
-    /// Whether a profiler or tracer is attached. Both observe SM-side
-    /// trace points from the engine thread, which sharding moves onto
-    /// workers, so the sharded engine refuses to run with either enabled.
-    pub(crate) fn has_observers(&self) -> bool {
-        self.profiler.is_some() || self.tracer.is_some()
-    }
-
-    /// Detaches the SM vector for distribution onto worker threads. The
-    /// system stays usable for memory-side phases (they never touch
-    /// `sms`); [`GpuSystem::stats`] and [`GpuSystem::is_done`] are only
-    /// meaningful again after [`GpuSystem::restore_sms`].
-    pub(crate) fn take_sms(&mut self) -> Vec<Sm> {
-        std::mem::take(&mut self.sms)
-    }
-
-    /// Reattaches the SM vector (in original order) after a sharded run.
-    pub(crate) fn restore_sms(&mut self, sms: Vec<Sm>) {
-        debug_assert!(self.sms.is_empty(), "restore over live SMs");
-        debug_assert_eq!(sms.len(), self.cfg.num_sms, "SM count changed");
-        self.sms = sms;
-    }
-
-    /// One shared-stage cycle at `now`, assuming this cycle's L1 → L2
-    /// requests have already been replayed through
-    /// [`GpuSystem::inject_req`]: network delivery, L2 service, DRAM, and
-    /// response collection into `ready` (routing to the owning shard is
-    /// the caller's job). Ends the cycle exactly like the serial
-    /// [`GpuSystem::tick`]: check-sink `cycle_end`, then `cycle += 1`.
-    pub(crate) fn mem_cycle(&mut self, now: u64, ready: &mut Vec<(usize, L1Response)>) {
-        debug_assert_eq!(now, self.cycle, "memory cycle out of step");
-        self.deliver_requests(now);
-        self.phase_l2(now);
-        self.phase_dram(now);
-        self.collect_responses(now, ready);
-        if let Some(mut sink) = self.check.take() {
-            sink.cycle_end(self, now);
-            self.check = Some(sink);
-        }
-        self.cycle += 1;
-    }
-
-    /// Debug-only pool accounting at rest (no-op in release builds).
-    pub(crate) fn debug_assert_quiescent(&self) {
-        #[cfg(debug_assertions)]
-        self.assert_quiescent_pools();
     }
 }
 

@@ -93,9 +93,10 @@ pub enum WarpOp {
 /// calls across warps arbitrarily, but each warp's own sequence must be a
 /// pure function of its constructor inputs (reproducibility of every
 /// figure depends on it).
-/// `Send` is a supertrait so SMs (which own their warp programs) can
-/// migrate to shard worker threads — see [`crate::sharded`]. Program
-/// generators are pure owned state, so the bound is free in practice.
+/// `Send` is a supertrait so SMs (which own their warp programs), and
+/// with them a whole [`crate::system::GpuSystem`], can move between
+/// threads. Program generators are pure owned state, so the bound is free
+/// in practice.
 pub trait WarpProgram: Send {
     /// The next instruction, or `None` when the warp has retired.
     fn next_op(&mut self) -> Option<WarpOp>;

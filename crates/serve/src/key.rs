@@ -3,7 +3,7 @@
 //! A [`CellKey`] digests **everything** that can change a cell's
 //! simulation outcome: the full workload spec, the full machine
 //! configuration, the full L1D configuration, the resolved instruction
-//! budget, the engine selection (skip/tick, shards, epoch window) and the
+//! budget, the engine selection (skip/tick, active set) and the
 //! engine's semantic version + feature-flag fingerprint. Two processes,
 //! two machines or two months apart, the same inputs derive the same key
 //! — and perturbing any single field derives a different one (pinned by
@@ -21,7 +21,7 @@
 //! instead; that constant is part of every canonical text, so one bump
 //! invalidates the world. Runs with observers attached (profiler, tracer,
 //! check oracle) are not representable as keys at all — callers bypass
-//! the cache for them, mirroring the `--shards` observer rejection.
+//! the cache for them.
 //!
 //! # Collisions
 //!
@@ -95,10 +95,6 @@ pub struct KeyParts<'a> {
     /// here too, but keying the axis keeps the invalidation contract
     /// structural rather than resting on the equivalence proof.
     pub active_set: bool,
-    /// Shard count, `None` for the serial engine.
-    pub shards: Option<usize>,
-    /// Relaxed-mode epoch window; `None` means strict when sharded.
-    pub shard_epoch: Option<u64>,
 }
 
 /// A derived content digest plus the canonical text it digests.
@@ -136,21 +132,11 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v1\n");
+    s.push_str("fuse-cell-key-v2\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
     s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
     s.push_str(&format!("skip={}\n", parts.skip));
     s.push_str(&format!("active_set={}\n", parts.active_set));
-    s.push_str(&format!(
-        "shards={}\n",
-        parts.shards.map_or("none".to_string(), |n| n.to_string())
-    ));
-    s.push_str(&format!(
-        "shard_epoch={}\n",
-        parts
-            .shard_epoch
-            .map_or("none".to_string(), |w| w.to_string())
-    ));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
@@ -214,8 +200,6 @@ mod tests {
             max_cycles: 1_000_000,
             skip: true,
             active_set: true,
-            shards: None,
-            shard_epoch: None,
         }
     }
 
@@ -242,7 +226,6 @@ mod tests {
             ENGINE_VERSION,
             "skip=true",
             "active_set=true",
-            "shards=none",
             "ops_per_warp=1000",
             "max_cycles=1000000",
             "l1.name=Dy-FUSE",

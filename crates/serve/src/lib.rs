@@ -13,7 +13,7 @@
 //!
 //! * [`key`] — [`key::CellKey`]: a content digest over (workload spec,
 //!   machine config, L1 configuration, engine version + feature flags,
-//!   budget, skip mode, shards/epoch). Any field change invalidates;
+//!   budget, skip and active-set modes). Any field change invalidates;
 //!   nothing else does.
 //! * [`record`] — [`record::CellRecord`]: the engine-independent outcome
 //!   of one cell ([`fuse_gpu::stats::SimStats`], controller metrics,

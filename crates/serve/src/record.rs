@@ -322,8 +322,6 @@ mod tests {
             max_cycles: 1000,
             skip: true,
             active_set: true,
-            shards: None,
-            shard_epoch: None,
         })
     }
 
@@ -364,17 +362,38 @@ mod tests {
     fn corruption_is_detected_not_panicked() {
         let key = sample_key();
         let text = sample_record().serialize(&key);
-        // Flip one digit somewhere in the middle.
-        let mid = text.len() / 2;
-        let mut bytes = text.clone().into_bytes();
-        bytes[mid] = if bytes[mid] == b'1' { b'2' } else { b'1' };
-        let flipped = String::from_utf8(bytes).unwrap();
-        assert!(CellRecord::parse(&flipped).is_err());
-        // Truncations at every prefix length parse as Err, never panic
-        // (the format is pure ASCII, so any byte index is a boundary).
-        for cut in [0, 1, 10, text.len() / 2, text.len() - 2] {
-            assert!(CellRecord::parse(&text[..cut]).is_err(), "cut at {cut}");
+        // A damaged file may parse only if it decodes to exactly the
+        // record that was written: re-serialising what came back must
+        // reproduce the original bytes (so even float sign bits match).
+        let same_or_err = |data: &str, what: &str| {
+            if let Ok((rec, hex, keytext)) = CellRecord::parse(data) {
+                let back = rec.serialize(&CellKey { hex, text: keytext });
+                assert_eq!(back, text, "{what} parsed as a different record");
+            }
+        };
+        // Every single-bit flip of every byte. The format is pure ASCII,
+        // so a high-bit flip makes the text invalid UTF-8: it never
+        // reaches `parse`, because the store's `read_to_string` fails.
+        let bytes = text.as_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                match String::from_utf8(flipped) {
+                    Ok(flipped) => same_or_err(&flipped, &format!("flip of bit {bit} at {i}")),
+                    Err(_) => assert_eq!(bit, 7, "only high-bit flips leave UTF-8"),
+                }
+            }
         }
+        // Every truncation (any byte index is a char boundary in ASCII).
+        for cut in 0..text.len() {
+            same_or_err(&text[..cut], &format!("cut at {cut}"));
+        }
+        // Losing only the final newline loses nothing.
+        let unterminated = &text[..text.len() - 1];
+        let (rec, _, _) =
+            CellRecord::parse(unterminated).expect("parses without the final newline");
+        assert_eq!(rec.serialize(&key), text);
         assert!(CellRecord::parse("not a record at all").is_err());
     }
 

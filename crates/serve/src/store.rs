@@ -12,6 +12,10 @@
 //! The version segment means a future layout change starts an empty
 //! cache instead of misreading the old one. Writes go through a
 //! temp-file + rename so a crash mid-write leaves no half-entry behind.
+//! Every write gets its own temp name (process id plus a process-wide
+//! counter), so writers sharing one directory — `serve` next to
+//! `sweep --cache-dir`, or two handles in one process — never truncate
+//! each other's temp file.
 //!
 //! # Safety properties
 //!
@@ -29,6 +33,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::key::CellKey;
@@ -36,6 +41,9 @@ use crate::record::CellRecord;
 
 /// Directory-layout version segment.
 pub const LAYOUT_DIR: &str = "fuse-cache-v1";
+
+/// Distinguishes the temp files of concurrent inserts within a process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 #[derive(Debug)]
 struct Entry {
@@ -244,7 +252,9 @@ impl ResultCache {
         let bytes = text.len() as u64;
         let path = self.path_of(&key.hex);
         std::fs::create_dir_all(path.parent().expect("entry has a shard dir"))?;
-        let tmp = path.with_extension("cell.tmp");
+        // Unique per write, and not ending in `.cell`, so `open` skips it.
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
         std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, &path)?;
 
@@ -400,8 +410,6 @@ mod tests {
             max_cycles: 1000,
             skip: true,
             active_set: true,
-            shards: None,
-            shard_epoch: None,
         })
     }
 
@@ -483,6 +491,62 @@ mod tests {
         // The slot is reusable.
         cache.insert(&key, record_for(7)).unwrap();
         assert_eq!(cache.get(&key).unwrap().sim.cycles, 7);
+        drop(cache);
+
+        // Bytes that are not UTF-8 fail `read_to_string` before any
+        // parsing: the same quarantine and miss, not an error or a panic.
+        std::fs::write(&path, [0xff, 0xfe, b'\n', 0x80]).unwrap();
+        let cache = ResultCache::open(&dir, None).unwrap();
+        assert!(cache.get(&key).is_none(), "non-UTF-8 entry must miss");
+        assert_eq!(cache.stats().quarantined, 1);
+        assert!(path.with_extension("cell.corrupt").exists());
+        assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_inserts_of_one_digest_all_succeed() {
+        // Two handles on one directory stand in for two processes (say
+        // `serve` and `sweep --cache-dir`) finishing the same cell. With
+        // a shared temp name, one writer can truncate or rename away the
+        // other's file and fail its insert.
+        let dir = tmp_dir("race");
+        let key = key_for(100);
+        let caches = [
+            ResultCache::open(&dir, None).unwrap(),
+            ResultCache::open(&dir, None).unwrap(),
+        ];
+        let start = std::sync::Barrier::new(caches.len());
+        let failures: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = caches
+                .iter()
+                .enumerate()
+                .map(|(i, cache)| {
+                    let (key, start) = (&key, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..500)
+                            .filter(|&n| {
+                                cache.insert(key, record_for(i as u64 * 1000 + n)).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "inserts of one digest collided");
+        let files: Vec<_> = std::fs::read_dir(dir.join(LAYOUT_DIR).join(key.shard_prefix()))
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            files,
+            vec![format!("{}.cell", key.hex)],
+            "no temp file left"
+        );
+        let reopened = ResultCache::open(&dir, None).unwrap();
+        assert!(reopened.get(&key).is_some(), "the survivor parses clean");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything a PR must pass, fully offline.
 #
-#   scripts/verify.sh          # fmt + clippy + build + tests
-#   scripts/verify.sh --quick  # skip fmt/clippy (tier-1 only)
-#   scripts/verify.sh --bench  # (re)emit the fig13-shardsN scaling rows
-#                              # in BENCH_sweep.json (schema fuse-sweep-v5)
+#   scripts/verify.sh          # fmt + clippy + rustdoc + build + tests
+#   scripts/verify.sh --quick  # skip fmt/clippy/rustdoc (tier-1 only)
+#   scripts/verify.sh --bench  # (re)emit the fig13-cold/fig13-warm cache
+#                              # rows in BENCH_sweep.json
 #
 # The workspace has no external dependencies (PRNG, timing harness and
 # property generators are all in-repo), so every step below works without
@@ -24,26 +24,6 @@ case "${1:-}" in
 esac
 
 if $bench; then
-    # Intra-simulation scaling axis: one strict sharded fig13 sweep per
-    # shard count, each a named row in BENCH_sweep.json. A scaling row
-    # measured with more shards than the machine has cores would report
-    # scheduler round-robin, not parallel speedup, so those counts are
-    # refused outright rather than silently emitted (--threads 1 keeps
-    # the cell-level sweep from fighting the shards for the same cores).
-    echo "==> cargo build --release (fusesim)"
-    cargo build --release --bin fusesim
-    cores=$(nproc)
-    for shards in 1 2 4 8; do
-        if ((shards > cores)); then
-            echo "==> fig13-shards${shards}: REFUSED — ${cores} core(s) < ${shards} shards;" \
-                "an oversubscribed scaling row would not measure parallelism"
-            continue
-        fi
-        echo "==> fig13-shards${shards}: strict sharded fig13 sweep"
-        ./target/release/fusesim sweep --workloads all --configs fig13 \
-            --threads 1 --shards "${shards}" --name "fig13-shards${shards}" \
-            --json BENCH_sweep.json
-    done
     # Result-cache axis: the serve_load bench re-measures the fig13
     # acceptance grid cold and warm (fig13-cold / fig13-warm rows) and
     # asserts the warm pass is >=20x faster and byte-identical.
@@ -61,6 +41,11 @@ if ! $quick; then
     # the workspace, no edit here required.
     echo "==> cargo clippy (workspace, all targets, -D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    # Broken intra-doc links fail here, so deleting a module cannot leave
+    # dangling references to it in the docs of the modules that remain.
+    echo "==> cargo doc (workspace, no deps, warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 fi
 
 echo "==> cargo build --release"
@@ -75,21 +60,12 @@ cargo test -q --workspace
 echo "==> fusesim check (oracle lockstep grid + fuzz smoke)"
 ./target/release/fusesim check --seeds 16 --quiet
 
-# Sharded strict smoke: the engine-independent stats digest must come out
-# byte-identical with the simulation split across two shard workers
-# (DESIGN.md §3g's strict contract, end to end through the CLI).
-echo "==> sharded strict smoke (2 shards, stats must match serial bitwise)"
-./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --threads 1 --stats-json /tmp/fuse-verify-serial.json >/dev/null
-./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --threads 1 --shards 2 --stats-json /tmp/fuse-verify-sharded.json >/dev/null
-diff /tmp/fuse-verify-serial.json /tmp/fuse-verify-sharded.json
-
 # Active-set smoke: the wake-wheel scheduler (the default engine) and
 # always-tick must produce byte-identical engine-independent stats
-# (DESIGN.md §3i). The serial stats from the sharded smoke above double
-# as the active-set reference — same grid, default scheduler.
+# (DESIGN.md §3i).
 echo "==> active-set smoke (--no-active-set vs default, stats must match bitwise)"
+./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
+    --scale 0.1 --threads 1 --stats-json /tmp/fuse-verify-serial.json >/dev/null
 ./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
     --scale 0.1 --threads 1 --no-active-set \
     --stats-json /tmp/fuse-verify-fulltick.json >/dev/null
@@ -100,11 +76,6 @@ diff /tmp/fuse-verify-serial.json /tmp/fuse-verify-fulltick.json
 # dispatches with the wheel on (like alloc_budget gates allocations).
 echo "==> sched_overhead --check (active-set dispatch gate)"
 cargo bench -p fuse-bench --bench sched_overhead -- --check
-
-# Relaxed sharded smoke: the oracle audits the epoch-synchronized engine
-# on adversarial fuzz machines (shard counts clamp to each machine's SMs).
-echo "==> fusesim check --shards 4 (relaxed sharded engine under the oracle)"
-./target/release/fusesim check --shards 4 --seeds 16 --skip-grid --quiet
 
 # Result-cache round trip: the fig13 acceptance grid (21 workloads x
 # {L1-SRAM, Dy-FUSE}) cold then warm into a fresh cache directory. The

@@ -71,15 +71,6 @@ OPTIONS:
     --workloads <LIST>   comma-separated workloads, or `all` (sweep; default all)
     --configs <LIST>     comma-separated configs, `all`, or `fig13` (sweep; default fig13)
     --threads <N>        sweep worker threads (default: all cores)
-    --shards <N>         shard one simulation across N worker threads
-                         (run/compare/sweep; strict mode — statistics stay
-                         bitwise identical to serial. With `check`, audits
-                         the relaxed sharded engine against the oracle over
-                         the fuzz seeds instead of the lockstep engines)
-    --shard-epoch <W>    relaxed-mode epoch window in cycles (requires
-                         --shards; fills synchronize at epoch boundaries,
-                         so statistics may differ from serial — see
-                         DESIGN.md §3g. check: default 32)
     --name <NAME>        sweep entry name used as the BENCH_sweep.json
                          merge key (sweep; default cli-sweep)
     --json <PATH>        append the sweep entry to a BENCH_sweep.json file
@@ -145,8 +136,6 @@ struct Args {
     workloads: String,
     configs: String,
     threads: Option<usize>,
-    shards: Option<usize>,
-    shard_epoch: Option<u64>,
     name: Option<String>,
     json: Option<String>,
     stats_json: Option<String>,
@@ -193,8 +182,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         workloads: "all".to_string(),
         configs: "fig13".to_string(),
         threads: None,
-        shards: None,
-        shard_epoch: None,
         name: None,
         json: None,
         stats_json: None,
@@ -251,22 +238,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--shards" => {
-                let v = argv.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                args.shards = Some(n);
-            }
-            "--shard-epoch" => {
-                let v = argv.next().ok_or("--shard-epoch needs a value")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad epoch window {v:?}"))?;
-                if n == 0 {
-                    return Err("--shard-epoch must be at least 1".to_string());
-                }
-                args.shard_epoch = Some(n);
-            }
             "--name" => {
                 args.name = Some(argv.next().ok_or("--name needs a value")?);
             }
@@ -317,8 +288,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--scale" => {
                 let v = argv.next().ok_or("--scale needs a value")?;
                 args.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-                if args.scale <= 0.0 {
-                    return Err("scale must be positive".to_string());
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err(format!("scale must be finite and positive, got {v:?}"));
                 }
             }
             "--cache-dir" => {
@@ -423,23 +394,6 @@ fn run_config(args: &Args) -> Result<RunConfig, String> {
     }
     if args.trace_out.is_some() || args.trace_capacity.is_some() {
         rc.trace_capacity = Some(args.trace_capacity.unwrap_or(65536));
-    }
-    if args.shards.is_some() {
-        if rc.metrics_window.is_some() || rc.trace_capacity.is_some() {
-            return Err(
-                "--shards cannot be combined with --metrics-out/--metrics-window or \
-                 --trace-out/--trace-capacity: the profiler and tracer observe the \
-                 serial engine only"
-                    .to_string(),
-            );
-        }
-        rc.shards = args.shards;
-        rc.shard_epoch = args.shard_epoch;
-        if let Some(cfg) = rc.shard_config() {
-            cfg.validate(rc.gpu.num_sms)?;
-        }
-    } else if args.shard_epoch.is_some() {
-        return Err("--shard-epoch requires --shards".to_string());
     }
     if args.cache_dir.is_some() && rc.observed() {
         return Err(
@@ -723,7 +677,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 /// is minimized with the shrinker, written as a `.repro`, and fails the
 /// command.
 fn cmd_check(args: &Args) -> Result<(), String> {
-    use fuse::check::{repro, run_case, run_case_sharded, shrink, FuzzSpec};
+    use fuse::check::{repro, run_case, shrink, FuzzSpec};
 
     let mut failures = 0usize;
 
@@ -763,67 +717,37 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     }
 
     if args.seeds > 0 {
-        // With --shards, audit the relaxed sharded engine under the
-        // oracle; otherwise run the classic two-engine lockstep diff.
-        let sharding = args.shards.map(|n| (n, args.shard_epoch.unwrap_or(32)));
-        match sharding {
-            Some((shards, epoch)) => println!(
-                "fuzz: {} seeds starting at {}, adversarial machines, \
-                 sharded relaxed engine ({shards} shards, epoch {epoch}) under the oracle",
-                args.seeds, args.seed_base
-            ),
-            None => println!(
-                "fuzz: {} seeds starting at {}, adversarial machines, both engines",
-                args.seeds, args.seed_base
-            ),
-        }
+        println!(
+            "fuzz: {} seeds starting at {}, adversarial machines, both engines",
+            args.seeds, args.seed_base
+        );
         for seed in args.seed_base..args.seed_base + args.seeds {
             let spec = FuzzSpec::from_seed(seed);
-            let (ok, first_violation, detail) = match sharding {
-                Some((shards, epoch)) => {
-                    let r = run_case_sharded(&spec, shards, epoch);
-                    let detail = format!("{} shards", r.shards);
-                    (r.ok(), r.violations.first().cloned(), detail)
-                }
-                None => {
-                    let r = run_case(&spec);
-                    let detail = format!("{} events", r.events_compared);
-                    (r.ok(), r.violations.first().cloned(), detail)
-                }
-            };
-            if ok {
+            let report = run_case(&spec);
+            if report.ok() {
                 if !args.quiet {
-                    println!("  ok   seed {seed} ({detail})");
+                    println!("  ok   seed {seed} ({} events)", report.events_compared);
                 }
                 continue;
             }
             failures += 1;
             println!(
                 "  FAIL seed {seed}: {}",
-                first_violation.as_deref().unwrap_or("unknown violation")
-            );
-            let fails = |s: &FuzzSpec| match sharding {
-                Some((shards, epoch)) => !run_case_sharded(s, shards, epoch).ok(),
-                None => !run_case(s).ok(),
-            };
-            let minimal = shrink(&spec, fails, 200);
-            let reason = match sharding {
-                Some((shards, epoch)) => run_case_sharded(&minimal, shards, epoch)
+                report
                     .violations
                     .first()
-                    .cloned(),
-                None => run_case(&minimal).violations.first().cloned(),
-            }
-            .unwrap_or_else(|| "shrunk case no longer fails (flaky?)".to_string());
+                    .map_or("unknown violation", String::as_str)
+            );
+            let minimal = shrink(&spec, |s| !run_case(s).ok(), 200);
+            let reason = run_case(&minimal)
+                .violations
+                .first()
+                .cloned()
+                .unwrap_or_else(|| "shrunk case no longer fails (flaky?)".to_string());
             let text = repro::to_text(&minimal, Some(&reason));
             std::fs::create_dir_all(&args.repro_dir)
                 .map_err(|e| format!("creating {}: {e}", args.repro_dir))?;
-            let kind = if sharding.is_some() {
-                "sharded"
-            } else {
-                "fuzz"
-            };
-            let path = format!("{}/{kind}-seed-{seed}.repro", args.repro_dir);
+            let path = format!("{}/fuzz-seed-{seed}.repro", args.repro_dir);
             std::fs::write(&path, &text).map_err(|e| format!("writing {path}: {e}"))?;
             println!("       minimized repro written to {path}:");
             for line in text.lines() {
@@ -1123,6 +1047,12 @@ mod tests {
         assert!(args(&["run", "--bogus"]).is_err());
         assert!(args(&["run", "--scale", "0"]).is_err());
         assert!(args(&["run", "--scale", "x"]).is_err());
+        // These parse as f64 but are no budget: NaN would round it to the
+        // 8-op floor, infinity would saturate it to the cycle cap.
+        for bad in ["NaN", "inf", "-inf"] {
+            let e = args(&["run", "--scale", bad]).unwrap_err();
+            assert!(e.contains("finite"), "{bad}: got {e:?}");
+        }
         assert!(args(&["run", "--workload"]).is_err());
     }
 
@@ -1195,59 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_flags_reach_the_run_config() {
-        let a = args(&["run", "--shards", "4"]).unwrap();
-        let rc = run_config(&a).unwrap();
-        assert_eq!(rc.shards, Some(4));
-        assert_eq!(rc.shard_epoch, None, "no epoch flag means strict mode");
-
-        let b = args(&["sweep", "--shards", "2", "--shard-epoch", "64"]).unwrap();
-        let rc = run_config(&b).unwrap();
-        assert_eq!(rc.shards, Some(2));
-        assert_eq!(rc.shard_epoch, Some(64));
-
-        let c = args(&["sweep", "--name", "fig13-shards2", "--shards", "2"]).unwrap();
-        assert_eq!(c.name.as_deref(), Some("fig13-shards2"));
-    }
-
-    #[test]
-    fn sharding_flags_reject_degenerate_counts() {
-        // Zero shards and zero epochs are parse errors, not clamps.
-        let e = args(&["run", "--shards", "0"]).unwrap_err();
-        assert!(e.contains("at least 1"), "got {e:?}");
-        let e = args(&["run", "--shards", "2", "--shard-epoch", "0"]).unwrap_err();
-        assert!(e.contains("at least 1"), "got {e:?}");
-        assert!(args(&["run", "--shards"]).is_err());
-        assert!(args(&["run", "--shards", "x"]).is_err());
-
-        // More shards than SMs is a config error with a clear message,
-        // not a panic or a silent clamp.
-        let a = args(&["run", "--shards", "10000"]).unwrap();
-        let e = run_config(&a).unwrap_err();
-        assert!(e.contains("exceed"), "got {e:?}");
-        assert!(e.contains("SMs"), "got {e:?}");
-
-        // An epoch without sharding is meaningless.
-        let a = args(&["run", "--shard-epoch", "32"]).unwrap();
-        let e = run_config(&a).unwrap_err();
-        assert!(e.contains("requires --shards"), "got {e:?}");
-    }
-
-    #[test]
-    fn sharding_refuses_the_profiler_and_tracer() {
-        for observer in [
-            &["run", "--shards", "2", "--metrics-out", "m.json"][..],
-            &["run", "--shards", "2", "--trace-out", "t.json"][..],
-            &["run", "--shards", "2", "--metrics-window", "512"][..],
-            &["run", "--shards", "2", "--trace-capacity", "16"][..],
-        ] {
-            let a = args(observer).unwrap();
-            let e = run_config(&a).unwrap_err();
-            assert!(e.contains("--shards"), "got {e:?}");
-        }
-    }
-
-    #[test]
     fn parses_cache_flags_and_actions() {
         let a = args(&["cache", "stats", "--cache-dir", "/tmp/c"]).unwrap();
         assert_eq!(a.command, "cache");
@@ -1293,9 +1170,6 @@ mod tests {
             let e = run_config(&a).unwrap_err();
             assert!(e.contains("--cache-dir"), "got {e:?}");
         }
-        // Sharded runs ARE cacheable (the key covers the engine choice).
-        let a = args(&["run", "--cache-dir", "/tmp/c", "--shards", "2"]).unwrap();
-        assert!(run_config(&a).is_ok());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod runner;
 pub mod sweep;
 
 pub use runner::{
-    geomean, lockstep_workload, preset_by_name, run_l1_config, run_workload,
-    sharded_oracle_workload, RunConfig, RunResult, ServeBackend,
+    geomean, lockstep_workload, preset_by_name, run_l1_config, run_workload, RunConfig, RunResult,
+    ServeBackend,
 };
 pub use sweep::{SweepCell, SweepConfig, SweepPlan, SweepReport};

@@ -8,7 +8,6 @@ use fuse_core::config::{L1Config, L1Preset};
 use fuse_core::controller::FuseL1;
 use fuse_core::metrics::L1Metrics;
 use fuse_gpu::config::GpuConfig;
-use fuse_gpu::sharded::ShardConfig;
 use fuse_gpu::stats::SimStats;
 use fuse_gpu::system::GpuSystem;
 use fuse_mem::energy::{EnergyBreakdown, EnergyParams};
@@ -45,16 +44,6 @@ pub struct RunConfig {
     /// Event-trace ring capacity (`fusesim --trace-out`). `None` (the
     /// default) disables tracing.
     pub trace_capacity: Option<usize>,
-    /// Shard the simulation across this many worker threads
-    /// (`fusesim --shards`); `None` (the default) runs the serial engine.
-    /// Strict mode — bitwise-identical statistics — unless
-    /// [`RunConfig::shard_epoch`] selects a relaxed window. Must be
-    /// `1..=num_sms`; [`run_workload`] panics otherwise, so CLI layers
-    /// validate via [`ShardConfig::validate`] first.
-    pub shards: Option<usize>,
-    /// Relaxed-mode epoch window in cycles (`fusesim --shard-epoch`).
-    /// Only meaningful with [`RunConfig::shards`]; `None` means strict.
-    pub shard_epoch: Option<u64>,
 }
 
 impl RunConfig {
@@ -68,8 +57,6 @@ impl RunConfig {
             active_set: true,
             metrics_window: None,
             trace_capacity: None,
-            shards: None,
-            shard_epoch: None,
         }
     }
 
@@ -83,8 +70,6 @@ impl RunConfig {
             active_set: true,
             metrics_window: None,
             trace_capacity: None,
-            shards: None,
-            shard_epoch: None,
         }
     }
 
@@ -102,8 +87,6 @@ impl RunConfig {
             active_set: true,
             metrics_window: None,
             trace_capacity: None,
-            shards: None,
-            shard_epoch: None,
         }
     }
 
@@ -120,22 +103,16 @@ impl RunConfig {
     pub fn observed(&self) -> bool {
         self.metrics_window.is_some() || self.trace_capacity.is_some()
     }
-
-    /// The sharding request, if any: strict with [`RunConfig::shards`]
-    /// alone, relaxed once [`RunConfig::shard_epoch`] sets a window.
-    pub fn shard_config(&self) -> Option<ShardConfig> {
-        self.shards.map(|shards| match self.shard_epoch {
-            Some(w) => ShardConfig::relaxed(shards, w),
-            None => ShardConfig::strict(shards),
-        })
-    }
 }
 
+/// `FUSE_SCALE`, or 1 when it is unset or not a finite positive number
+/// (NaN would round the budget to the 8-op floor, infinity would
+/// saturate it to the cycle cap).
 fn env_scale() -> f64 {
     std::env::var("FUSE_SCALE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
+        .filter(|s| s.is_finite() && *s > 0.0)
         .unwrap_or(1.0)
 }
 
@@ -158,8 +135,7 @@ pub struct RunResult {
     /// Component dispatches the serial engine actually performed, and the
     /// opportunities it had (components × ticked cycles). Engine
     /// telemetry like `skipped_cycles` — not part of `sim`, not cached
-    /// (both rehydrate as 0 from a [`CellRecord`]), zero under sharding
-    /// (the coordinator never drives the serial tick loop).
+    /// (both rehydrate as 0 from a [`CellRecord`]).
     pub component_ticks: u64,
     /// See [`RunResult::component_ticks`].
     pub component_opportunities: u64,
@@ -307,8 +283,6 @@ fn cell_key(spec: &WorkloadSpec, l1: L1Column<'_>, rc: &RunConfig) -> CellKey {
         max_cycles: rc.max_cycles,
         skip: rc.skip,
         active_set: rc.active_set,
-        shards: rc.shards,
-        shard_epoch: rc.shard_epoch,
     })
 }
 
@@ -378,7 +352,7 @@ pub fn run_workload(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> Ru
     sys.set_cycle_skipping(rc.skip);
     sys.set_active_set(rc.active_set);
     apply_observability(&mut sys, rc);
-    let sim = run_engine(&mut sys, rc);
+    let sim = sys.run(rc.max_cycles);
     collect(
         spec.name,
         preset.name(),
@@ -386,14 +360,6 @@ pub fn run_workload(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> Ru
         sim,
         preset.energy_banks(),
     )
-}
-
-/// Dispatches to the serial or sharded engine per `rc`.
-fn run_engine(sys: &mut GpuSystem, rc: &RunConfig) -> SimStats {
-    match rc.shard_config() {
-        Some(sc) => sys.run_sharded(rc.max_cycles, &sc),
-        None => sys.run(rc.max_cycles),
-    }
 }
 
 /// Runs `spec` on an arbitrary [`L1Config`] (the Fig. 18 ratio sweep and
@@ -414,7 +380,7 @@ pub fn run_l1_config(
     sys.set_cycle_skipping(rc.skip);
     sys.set_active_set(rc.active_set);
     apply_observability(&mut sys, rc);
-    let sim = run_engine(&mut sys, rc);
+    let sim = sys.run(rc.max_cycles);
     collect(spec.name, config_name, &mut sys, sim, banks)
 }
 
@@ -439,29 +405,6 @@ pub fn lockstep_workload(
     rc: &RunConfig,
 ) -> fuse_check::LockstepReport {
     fuse_check::lockstep::check_workload(spec, preset, &rc.gpu, rc.ops_for(spec), rc.max_cycles)
-}
-
-/// Audits `spec` on `preset` under the sharded relaxed engine with the
-/// `fuse-check` oracle attached; returns every violation the oracle
-/// raised (empty means the run obeyed the reference model). `rc` must
-/// select relaxed sharding ([`RunConfig::shards`] and
-/// [`RunConfig::shard_epoch`] both set).
-pub fn sharded_oracle_workload(
-    spec: &WorkloadSpec,
-    preset: L1Preset,
-    rc: &RunConfig,
-) -> Vec<String> {
-    let shards = rc.shards.expect("rc selects sharding");
-    let epoch = rc.shard_epoch.expect("relaxed mode needs an epoch window");
-    fuse_check::lockstep::check_workload_sharded(
-        spec,
-        preset,
-        &rc.gpu,
-        rc.ops_for(spec),
-        rc.max_cycles,
-        shards,
-        epoch,
-    )
 }
 
 /// Geometric mean (the paper's GMEANS column). Ignores non-positive
@@ -561,31 +504,6 @@ mod tests {
         assert_eq!(covered, obs.sim.cycles, "windows tile the run");
         let trace = obs.trace.expect("tracer was on");
         assert!(trace.iter().next().is_some(), "a DyFuse run emits events");
-    }
-
-    #[test]
-    fn sharded_strict_run_matches_serial_bitwise() {
-        let w = by_name("GEMM").unwrap();
-        let serial = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
-        let rc = RunConfig {
-            shards: Some(2),
-            ..RunConfig::smoke()
-        };
-        let sharded = run_workload(&w, L1Preset::DyFuse, &rc);
-        assert_eq!(
-            serial.sim, sharded.sim,
-            "strict sharding must be bitwise-invisible"
-        );
-        let relaxed_rc = RunConfig {
-            shards: Some(2),
-            shard_epoch: Some(32),
-            ..RunConfig::smoke()
-        };
-        let relaxed = run_workload(&w, L1Preset::DyFuse, &relaxed_rc);
-        assert_eq!(
-            relaxed.sim.instructions, serial.sim.instructions,
-            "relaxed mode still retires every instruction"
-        );
     }
 
     #[test]

@@ -189,26 +189,6 @@ impl SweepPlan {
         self
     }
 
-    /// Runs every cell on the intra-simulation sharded engine with this
-    /// many worker threads per cell (`fusesim sweep --shards`) — the
-    /// complement of [`SweepPlan::threads`]: `threads` spreads *cells*
-    /// across the machine, `shards` spreads *one cell*, so a single huge
-    /// cell can use every core. Strict mode (bitwise-identical cell
-    /// statistics) unless [`SweepPlan::shard_epoch`] selects a relaxed
-    /// window. Callers validate against the machine's SM count via
-    /// [`fuse_gpu::sharded::ShardConfig::validate`].
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.run_config.shards = Some(shards);
-        self
-    }
-
-    /// Selects relaxed sharded mode with the given epoch window (cycles).
-    /// Only meaningful after [`SweepPlan::shards`].
-    pub fn shard_epoch(mut self, epoch_cycles: u64) -> Self {
-        self.run_config.shard_epoch = Some(epoch_cycles);
-        self
-    }
-
     /// Grid cells in the plan.
     pub fn len(&self) -> usize {
         self.workloads.len() * self.configs.len()
@@ -295,11 +275,6 @@ impl SweepPlan {
             name: self.name.clone(),
             threads,
             engine: if self.run_config.skip { "skip" } else { "tick" }.to_string(),
-            shards: self.run_config.shards,
-            epoch_cycles: self
-                .run_config
-                .shards
-                .map(|_| self.run_config.shard_epoch.unwrap_or(0)),
             workloads: self.workloads.iter().map(|w| w.name.to_string()).collect(),
             configs: self.configs.iter().map(|c| c.name().to_string()).collect(),
             cells: slots
@@ -396,12 +371,6 @@ pub struct SweepReport {
     pub threads: usize,
     /// Cycle engine the cells ran on: `"skip"` or `"tick"`.
     pub engine: String,
-    /// Per-cell shard count ([`SweepPlan::shards`]); `None` for serial
-    /// cells.
-    pub shards: Option<usize>,
-    /// Relaxed-mode epoch window; `Some(0)` means strict sharding.
-    /// `None` iff `shards` is `None`.
-    pub epoch_cycles: Option<u64>,
     /// Row labels (workload names).
     pub workloads: Vec<String>,
     /// Column labels (configuration names).
@@ -490,13 +459,9 @@ impl SweepReport {
     /// `BENCH_sweep.json` schema — see DESIGN.md).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + 128 * self.cells.len());
-        let sharding = match (self.shards, self.epoch_cycles) {
-            (Some(n), Some(w)) => format!("\"shards\":{n},\"epoch_cycles\":{w},"),
+        let cache = match (self.cache_hits, self.cache_misses) {
+            (Some(h), Some(m)) => format!("\"cache_hits\":{h},\"cache_misses\":{m},"),
             _ => String::new(),
-        };
-        let sharding = match (self.cache_hits, self.cache_misses) {
-            (Some(h), Some(m)) => format!("{sharding}\"cache_hits\":{h},\"cache_misses\":{m},"),
-            _ => sharding,
         };
         s.push_str(&format!(
             "{{\"name\":{},\"engine\":{},\"threads\":{},{}\"grid\":[{},{}],\"wall_ms\":{},\
@@ -505,7 +470,7 @@ impl SweepReport {
             json_str(&self.name),
             json_str(&self.engine),
             self.threads,
-            sharding,
+            cache,
             self.workloads.len(),
             self.configs.len(),
             json_f64(self.wall_ns as f64 / 1e6, 3),
@@ -542,8 +507,8 @@ impl SweepReport {
             }
             if r.component_opportunities > 0 {
                 // Schema v7: serially executed cells carry the engine's
-                // dispatch telemetry (cache hits and sharded cells
-                // rehydrate/report 0 opportunities and stay bare).
+                // dispatch telemetry (cache hits rehydrate with 0
+                // opportunities and stay bare).
                 s.pop(); // re-open the cell object
                 s.push_str(&format!(
                     ",\"component_ticks\":{},\"ticked_frac\":{}}}",
@@ -732,40 +697,6 @@ mod tests {
         assert_eq!(content.matches("{\"name\":\"other\"").count(), 1);
         assert!(content.starts_with("{\"schema\":\"fuse-sweep-v7\""));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_sweep_matches_serial_and_tags_json() {
-        let serial = tiny_plan().run();
-        assert!(
-            !serial.to_json().contains("\"shards\""),
-            "serial sweeps carry no sharding fields"
-        );
-
-        let strict = tiny_plan().shards(2).run();
-        for (p, s) in strict.cells.iter().zip(serial.cells.iter()) {
-            assert_eq!(
-                p.result.sim, s.result.sim,
-                "strict sharded cell diverged from serial"
-            );
-        }
-        assert_eq!(strict.shards, Some(2));
-        assert_eq!(strict.epoch_cycles, Some(0), "strict mode is epoch 0");
-        assert!(strict
-            .to_json()
-            .contains("\"shards\":2,\"epoch_cycles\":0,"));
-
-        let relaxed = tiny_plan().shards(2).shard_epoch(32).run();
-        assert_eq!(relaxed.epoch_cycles, Some(32));
-        assert!(relaxed
-            .to_json()
-            .contains("\"shards\":2,\"epoch_cycles\":32,"));
-        for (p, s) in relaxed.cells.iter().zip(serial.cells.iter()) {
-            assert_eq!(
-                p.result.sim.instructions, s.result.sim.instructions,
-                "relaxed sharding must retire the same instruction stream"
-            );
-        }
     }
 
     #[test]

@@ -177,34 +177,7 @@ fn profiling_preserves_digests_and_the_series_is_engine_independent() {
     }
 }
 
-/// Fourth axis: strict sharding is held to the very same recorded
-/// digests — splitting the SMs across two worker threads must reproduce
-/// the SipHash-era statistics bit for bit, which transitively proves the
-/// sharded engine equals both serial engines on the whole grid.
-#[test]
-fn strict_sharding_matches_the_recorded_digests() {
-    let rc = RunConfig {
-        shards: Some(2),
-        ..smoke(true)
-    };
-    for &(workload, config, want) in SEED_DIGESTS {
-        let spec = by_name(workload).expect("Table II workload exists");
-        let preset = match config {
-            "L1-SRAM" => L1Preset::L1Sram,
-            "Dy-FUSE" => L1Preset::DyFuse,
-            other => panic!("unknown preset {other} in the digest table"),
-        };
-        let r = run_workload(&spec, preset, &rc);
-        assert_eq!(
-            stats_digest(&r.sim),
-            want,
-            "{workload} / {config}: the sharded strict engine diverged \
-             from the recorded serial digest"
-        );
-    }
-}
-
-/// Fifth axis: active-set tick scheduling. Both scheduler modes — the
+/// Fourth axis: active-set tick scheduling. Both scheduler modes — the
 /// wake-wheel engine (the default) and always-tick (`--no-active-set`) —
 /// must reproduce the recorded digests bit for bit on the whole grid,
 /// and the active-set mode must actually elide component dispatches
