@@ -15,6 +15,7 @@
 //!    cells land in `BENCH_sweep.json` (schema `fuse-sweep-v4`, field
 //!    `allocs_per_kcycle`) so the setup overhead is tracked across PRs
 //!    too — it should scale with machine size, never with cycles.
+//!    `--check` gates without re-recording the row.
 
 use std::time::Instant;
 
@@ -95,7 +96,12 @@ fn main() {
     let report = SweepReport {
         name: "alloc-budget".to_string(),
         threads: 1, // serial by construction: the counters are process-wide
-        engine: if rc.skip { "skip" } else { "tick" }.to_string(),
+        engine: if rc.skip && rc.active_set {
+            "skip"
+        } else {
+            "tick"
+        }
+        .to_string(),
         workloads: workload_names.iter().map(|w| w.to_string()).collect(),
         configs: presets.iter().map(|p| p.name().to_string()).collect(),
         cells,
@@ -103,7 +109,10 @@ fn main() {
         cache_hits: None,
         cache_misses: None,
     };
-    record_sweep(&report);
+    if !check {
+        // A gate run must leave the tracked ledger untouched.
+        record_sweep(&report);
+    }
 
     if violations > 0 {
         eprintln!("alloc budget: {violations} preset(s) over the steady-state budget");

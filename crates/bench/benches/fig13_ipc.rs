@@ -64,26 +64,4 @@ fn main() {
         pct(outgoing_reduction.iter().sum::<f64>() / outgoing_reduction.len() as f64)
     );
     record_sweep(&report);
-
-    // The tick-engine baseline quantifies what cycle skipping buys on
-    // this grid. It reruns all 21 × 7 cells without skipping, so it is
-    // opt-in; the digest comparison doubles as a whole-figure
-    // engine-equivalence check.
-    if std::env::var("FUSE_NOSKIP_BASELINE").is_ok() {
-        let slow = SweepPlan::new("fig13-noskip", bench_config())
-            .workloads(all_workloads())
-            .presets(&presets)
-            .cycle_skip(false)
-            .run();
-        assert_eq!(
-            slow.stats_json(),
-            report.stats_json().replace("\"fig13\"", "\"fig13-noskip\""),
-            "tick engine diverged from the skip engine"
-        );
-        record_sweep(&slow);
-    } else {
-        println!(
-            "(set FUSE_NOSKIP_BASELINE=1 to also record the tick-engine fig13-noskip baseline)"
-        );
-    }
 }

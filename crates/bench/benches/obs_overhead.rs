@@ -13,9 +13,10 @@
 //! [`MAX_REPS`] before calling it a violation, so a transient load
 //! spike on a shared CI host cannot fail the gate by itself. With
 //! `--check` it exits non-zero on a violation (the CI observability
-//! gate runs this). The profiled report is also recorded to `BENCH_sweep.json`
-//! (entry `obs-overhead`, schema `fuse-sweep-v4`) so per-cell window
-//! counts and the stall decomposition are tracked across PRs.
+//! gate runs this). Outside `--check`, the profiled report is also
+//! recorded to `BENCH_sweep.json` (entry `obs-overhead`, schema
+//! `fuse-sweep-v4`) so per-cell window counts and the stall decomposition
+//! are tracked across PRs.
 
 use std::time::{Duration, Instant};
 
@@ -109,7 +110,10 @@ fn main() {
     ]);
     t.print();
 
-    record_sweep(&profiled);
+    if !check {
+        // A gate run must leave the tracked ledger untouched.
+        record_sweep(&profiled);
+    }
 
     if !ok {
         eprintln!("obs overhead: profiling costs {ratio:.3}x (budget {BUDGET:.2}x)");

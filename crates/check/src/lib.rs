@@ -2,14 +2,14 @@
 //!
 //! The optimized engine in `fuse-gpu` earns its speed from intrusive
 //! bookkeeping: slab-allocated request ids, pooled MSHR target lists,
-//! waiter chains threaded through a shared arena, and an event-driven
-//! skip engine that fast-forwards dead cycles. Each of those tricks is a
-//! place a subtle bug can hide while every aggregate statistic still
-//! looks plausible. This crate is the antidote: a deliberately simple,
-//! allocation-unconstrained *functional* model of the memory hierarchy
-//! that runs in lockstep with the real engine (attached as a
-//! [`fuse_gpu::check::CheckSink`]) and cross-checks what the engine
-//! claims against what the protocol allows.
+//! waiter chains threaded through a shared arena, and an event engine
+//! that dispatches only due components and fast-forwards dead cycles.
+//! Each of those tricks is a place a subtle bug can hide while every
+//! aggregate statistic still looks plausible. This crate is the
+//! antidote: a deliberately simple, allocation-unconstrained
+//! *functional* model of the memory hierarchy that runs in lockstep with
+//! the real engine (attached as a [`fuse_gpu::check::CheckSink`]) and
+//! cross-checks what the engine claims against what the protocol allows.
 //!
 //! Three layers, from cheapest to most thorough:
 //!
@@ -21,9 +21,10 @@
 //!   skip-engine exactness (fast-forwards land on states the tick engine
 //!   would reach; DRAM completions are collected at exactly
 //!   `finished_at`).
-//! * [`lockstep`] — runs the same system twice, skip engine vs. tick
-//!   engine, with an oracle attached to each, and diffs the two event
-//!   streams and the final statistics bitwise.
+//! * [`lockstep`] — runs the same system twice, event ("skip") engine
+//!   vs. the always-tick reference ("tick") engine, with an oracle
+//!   attached to each, and diffs the two event streams and the final
+//!   statistics bitwise.
 //! * [`fuzz`] + [`shrink`](mod@shrink) + [`repro`] — a seeded random-trace fuzzer
 //!   over small adversarial machines (tiny MSHRs, single-entry L2 miss
 //!   tables, starved DRAM queues), a greedy spec shrinker that minimizes

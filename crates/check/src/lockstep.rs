@@ -1,8 +1,8 @@
 //! Differential lockstep driver: the same system run twice — once on the
-//! event-driven skip engine, once on the plain tick engine — each with a
-//! reference-model [`Oracle`] attached, then diffed three ways: oracle
-//! violations, bitwise statistics, and the full event stream modulo skip
-//! markers.
+//! event ("skip") engine, once on the always-tick reference ("tick")
+//! engine — each with a reference-model [`Oracle`] attached, then diffed
+//! three ways: oracle violations, bitwise statistics, and the full event
+//! stream modulo skip markers.
 
 use fuse_core::config::L1Preset;
 use fuse_gpu::check::CheckEvent;

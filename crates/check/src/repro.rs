@@ -65,7 +65,8 @@ pub fn to_text(spec: &FuzzSpec, reason: Option<&str>) -> String {
 /// # Errors
 ///
 /// Returns a message naming the offending line for unknown keys, bad
-/// numbers, unknown presets, or missing fields.
+/// numbers, zero counts the replay cannot build a machine from,
+/// percentages above 100, unknown presets, or missing fields.
 pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
     // Start from a placeholder and require every field to be present.
     let mut spec = FuzzSpec {
@@ -97,16 +98,28 @@ pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
             v.parse::<u64>()
                 .map_err(|_| format!("line {}: bad number {v:?} for {key}", ln + 1))
         };
+        let count = |v: &str| -> Result<u64, String> {
+            match num(v)? {
+                0 => Err(format!("line {}: {key} must be at least 1", ln + 1)),
+                n => Ok(n),
+            }
+        };
+        let pct = |v: &str| -> Result<u8, String> {
+            u8::try_from(num(v)?)
+                .ok()
+                .filter(|p| *p <= 100)
+                .ok_or_else(|| format!("line {}: {key} {v} is not a percentage", ln + 1))
+        };
         match key {
             "seed" => spec.seed = num(value)?,
-            "sms" => spec.sms = num(value)? as usize,
-            "warps" => spec.warps = num(value)? as usize,
+            "sms" => spec.sms = count(value)? as usize,
+            "warps" => spec.warps = count(value)? as usize,
             "ops" => spec.ops = num(value)? as usize,
-            "footprint_lines" => spec.footprint_lines = num(value)?,
-            "store_pct" => spec.store_pct = num(value)? as u8,
-            "scatter_pct" => spec.scatter_pct = num(value)? as u8,
-            "compute_pct" => spec.compute_pct = num(value)? as u8,
-            "mshr_entries" => spec.mshr_entries = num(value)? as usize,
+            "footprint_lines" => spec.footprint_lines = count(value)?,
+            "store_pct" => spec.store_pct = pct(value)?,
+            "scatter_pct" => spec.scatter_pct = pct(value)?,
+            "compute_pct" => spec.compute_pct = pct(value)?,
+            "mshr_entries" => spec.mshr_entries = count(value)? as usize,
             "l2_pending" => spec.l2_pending = num(value)? as usize,
             "dram_queue" => spec.dram_queue = num(value)? as usize,
             "max_cycles" => spec.max_cycles = num(value)?,
@@ -188,6 +201,29 @@ mod tests {
             "incomplete spec"
         );
         assert!(from_text("just words").is_err(), "no assignment");
+        // Values that parse as numbers but cannot be replayed: each must
+        // be an error naming its line, never a panic in `run_case` or a
+        // silent truncation.
+        let base = to_text(&FuzzSpec::from_seed(3), None);
+        for (key, bad) in [
+            ("sms", "0"),
+            ("warps", "0"),
+            ("footprint_lines", "0"),
+            ("mshr_entries", "0"),
+            ("store_pct", "300"),
+            ("scatter_pct", "101"),
+            ("compute_pct", "256"),
+        ] {
+            let text: String = base
+                .lines()
+                .map(|l| match l.split_once(" = ") {
+                    Some((k, _)) if k == key => format!("{key} = {bad}\n"),
+                    _ => format!("{l}\n"),
+                })
+                .collect();
+            let err = from_text(&text).expect_err(&format!("{key} = {bad} must be rejected"));
+            assert!(err.starts_with("line ") && err.contains(key), "got {err:?}");
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod sm;
 pub mod stats;
 pub mod system;
 pub mod warp;
-pub mod wheel;
 
 pub use check::{CheckEvent, CheckSink};
 pub use config::GpuConfig;

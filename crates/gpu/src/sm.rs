@@ -93,8 +93,8 @@ pub struct Sm {
     /// issue-bubble classification (mem stall vs idle) O(1).
     waiting_warps: usize,
     /// Whether the most recent tick ended in an issue bubble (nothing
-    /// issued, no LSU replay). The active-set scheduler's wake
-    /// registration (DESIGN.md §3i) reads this: a non-bubble tick means
+    /// issued, no LSU replay). The event engine's wake registration
+    /// (DESIGN.md §3i) reads this: a non-bubble tick means
     /// the SM acted this cycle and `now + 1` is a safe conservative
     /// wake, so the full [`Sm::next_event`] scan is only paid on the
     /// busy→stalled transition cycle.
@@ -238,7 +238,7 @@ impl Sm {
     }
 
     /// Whether the most recent tick issued nothing (and held no LSU
-    /// replay). Read by the active-set wake registration: after a
+    /// replay). Read by the event engine's wake registration: after a
     /// non-bubble tick the SM may act again next cycle, so `now + 1` is
     /// registered without a scan; after a bubble the precise
     /// [`Sm::next_event`] answer is worth its O(warps) cost because it

@@ -22,15 +22,18 @@
 //! checks: [`SimStats`] stays bitwise identical and the steady-state loop
 //! stays allocation-free.
 //!
-//! Busy cycles are *active-set scheduled* (DESIGN.md §3i): every
-//! component — each SM, each network direction, each L2 slice, each DRAM
-//! channel — keeps its next wake cycle registered in a preallocated
-//! [`WakeWheel`], phases dispatch only components due at `now` (crediting
-//! the rest through their `advance_idle` classification, which is
-//! bitwise-equivalent to a dead tick), and the inter-tick skip peek is
-//! the wheel's O(1) minimum instead of an O(SMs × warps) rescan.
-//! [`GpuSystem::set_active_set`] turns this off (`--no-active-set` from
-//! the CLI) to fall back to dispatch-everything ticks for debugging.
+//! The engine runs one of two schedules (DESIGN.md §3c, §3i). The
+//! default *event engine* dispatches only due components: a hot SM (one
+//! that acted on its last dispatch) ticks every cycle, a quiet SM waits
+//! in a per-SM wake array and is credited through its `advance_idle`
+//! classification, which is bitwise-equivalent to a dead tick. When no
+//! SM is hot, no quiet SM is due and the memory side has nothing due,
+//! the clock jumps to the earliest event. The *always-tick reference*
+//! ([`GpuSystem::set_cycle_skipping`] or [`GpuSystem::set_active_set`]
+//! with `false`) ticks every cycle, dispatching every SM and both
+//! network directions (drained L2 slices and DRAM channels have nothing
+//! to tick), and never skips; `fuse-check` runs it in lockstep against
+//! the event engine.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -45,13 +48,16 @@ use crate::slab::{Slab, NO_SLOT};
 use crate::sm::{Sm, SmStats};
 use crate::stats::SimStats;
 use crate::warp::WarpProgram;
-use crate::wheel::{WakeWheel, NEVER};
 use fuse_cache::line::LineAddr;
 use fuse_cache::stats::CacheStats;
 use fuse_mem::dram::{DramChannel, DramCompletion, DramRequest};
 use fuse_mem::energy::EnergyCounters;
 use fuse_obs::profile::{CounterSnapshot, CycleProfiler, ProfileReport};
 use fuse_obs::trace::{TraceEvent, TraceKind, TraceRing};
+
+/// Wake cycle meaning "never": a quiet SM with no intrinsic future
+/// event, revived only by a delivered fill.
+const NEVER: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Trace {
@@ -87,33 +93,25 @@ pub struct GpuSystem {
     pending_dram: Vec<VecDeque<DramRequest>>,
     /// Total entries across `pending_dram` (O(1) `is_done` term).
     pending_dram_total: usize,
-    /// Event-driven cycle skipping: when a tick ends with nothing due,
-    /// jump the clock to the earliest component event instead of grinding
-    /// through dead cycles. Statistics are bulk-credited so `SimStats` is
-    /// bitwise identical either way.
+    /// Schedule selection: the event engine runs iff both flags are set;
+    /// clearing either selects the always-tick reference. The engines
+    /// produce bitwise-identical [`SimStats`].
     skip: bool,
-    skipped_cycles: u64,
-    /// Active-set tick scheduling (DESIGN.md §3i): busy cycles dispatch
-    /// only components whose registered wake cycle is due, crediting
-    /// everyone else through the same `advance_idle` classification the
-    /// skip engine uses — so [`SimStats`] stays bitwise identical to the
-    /// always-tick engine.
     active: bool,
-    /// Per-component wake registry: SMs first, then the two network
-    /// directions, the L2 banks and the DRAM channels. Only *quiet* SMs
-    /// carry live entries — hot SMs and every memory-side component are
-    /// parked at [`NEVER`] (see `arm_wheel`). Preallocated; updates
-    /// never touch the heap.
-    wheel: WakeWheel,
-    /// The active set itself: `hot[si]` means SM `si` acted on its last
+    skipped_cycles: u64,
+    /// Event engine only: `hot[si]` means SM `si` acted on its last
     /// dispatch (issued, replayed its LSU, or was just delivered a fill)
-    /// and is dispatched again next cycle without consulting the wheel.
-    /// Steady busy state therefore costs one bool load per SM per cycle
-    /// and zero wheel updates; the wheel is touched only on hot↔quiet
-    /// transitions.
+    /// and is dispatched again next cycle. Steady busy state therefore
+    /// costs one bool load per SM per cycle; `wake` is touched only on
+    /// hot↔quiet transitions.
     hot: Vec<bool>,
     /// Number of set entries in `hot` (O(1) "no skip possible" test).
     hot_count: usize,
+    /// Event engine only: the cycle a quiet SM is next due, at or before
+    /// its true `next_event` (early wakes cost a no-op dispatch, late
+    /// wakes lose events; 0 is due at once). Hot SMs are parked at
+    /// [`NEVER`].
+    wake: Vec<u64>,
     /// Component dispatches actually performed during ticked cycles.
     component_ticks: u64,
     /// Dispatch opportunities: components × ticked cycles. The ratio to
@@ -188,16 +186,6 @@ impl GpuSystem {
         let dram = (0..cfg.dram_channels)
             .map(|_| DramChannel::new(cfg.dram))
             .collect();
-        // One wheel slot per dispatchable component: every SM, each
-        // network direction, every L2 bank, every DRAM channel. Every SM
-        // starts hot (dispatched until it proves quiet), so all slots
-        // are parked — memory-side components are gated by direct O(1)
-        // per-cycle tests and never arm theirs (see `arm_wheel`).
-        let components = cfg.num_sms + 2 + cfg.l2_banks + cfg.dram_channels;
-        let mut wheel = WakeWheel::new(components);
-        for c in 0..components {
-            wheel.set(c, NEVER);
-        }
         GpuSystem {
             req_net: Interconnect::new(cfg.icnt_latency, cfg.icnt_flits_per_cycle),
             rsp_net: Interconnect::new(cfg.icnt_latency, cfg.icnt_flits_per_cycle),
@@ -209,11 +197,15 @@ impl GpuSystem {
             pending_dram: (0..cfg.dram_channels).map(|_| VecDeque::new()).collect(),
             pending_dram_total: 0,
             skip: true,
-            skipped_cycles: 0,
             active: true,
-            wheel,
-            hot: vec![true; cfg.num_sms],
-            hot_count: cfg.num_sms,
+            skipped_cycles: 0,
+            // The state `arm` resets to. All-zero on purpose: zeroed
+            // allocations keep glibc from trimming and re-faulting the
+            // heap across repeated machine builds (EXPERIMENTS.md
+            // "Engine performance VII").
+            hot: vec![false; cfg.num_sms],
+            hot_count: 0,
+            wake: vec![0; cfg.num_sms],
             component_ticks: 0,
             component_opportunities: 0,
             cfg,
@@ -248,46 +240,43 @@ impl GpuSystem {
     }
 
     /// Enables or disables event-driven cycle skipping (on by default).
-    /// The engines are observationally equivalent — [`SimStats`] is
-    /// bitwise identical — so turning skipping off is only useful for
-    /// debugging the skip logic itself or timing the cycle-by-cycle path.
+    /// Turning it off selects the always-tick reference engine, which
+    /// ticks every cycle with no active-set gating and never skips.
+    /// [`SimStats`] is bitwise identical on both engines.
     pub fn set_cycle_skipping(&mut self, on: bool) {
         self.skip = on;
+        self.arm();
     }
 
-    /// Cycles the run fast-forwarded over instead of ticking (0 with
-    /// skipping disabled). Deliberately *not* part of [`SimStats`]: the
+    /// Cycles the run fast-forwarded over instead of ticking (0 on the
+    /// reference engine). Deliberately *not* part of [`SimStats`]: the
     /// two engines must produce identical statistics.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
 
-    /// Enables or disables active-set tick scheduling (on by default).
-    /// With it on, a busy cycle dispatches only the components whose
-    /// registered wake is due and credits the rest through their
-    /// `advance_idle` classification; [`SimStats`] is bitwise identical
-    /// either way, so turning it off is only useful for debugging the
-    /// wake registration itself or timing the dispatch-everything path.
+    /// Enables or disables active-set dispatch (on by default). Like
+    /// [`GpuSystem::set_cycle_skipping`], turning it off selects the
+    /// always-tick reference engine; [`SimStats`] is bitwise identical
+    /// either way.
     pub fn set_active_set(&mut self, on: bool) {
         self.active = on;
-        if on {
-            self.arm_wheel();
-        }
+        self.arm();
     }
 
-    /// Arms the active set for (re-)entry into active-set mode: every SM
-    /// is hot (dispatched every cycle until a bubble tick proves it
-    /// quiet — conservative after arbitrary external mutation), and
-    /// every wheel slot is parked at [`NEVER`]. Memory-side components
-    /// are gated by direct O(1) occupancy/`next_event` tests each cycle
-    /// and contribute to the skip horizon through
-    /// [`GpuSystem::mem_next_event`], so their wheel slots carry no
-    /// information — parking them keeps
-    /// [`crate::wheel::WakeWheel::peek_min`] a quiet-SM-only horizon.
-    fn arm_wheel(&mut self) {
-        self.wheel.fill(NEVER);
-        self.hot.fill(true);
-        self.hot_count = self.hot.len();
+    /// True when the event engine runs (both flags set).
+    fn event_engine(&self) -> bool {
+        self.skip && self.active
+    }
+
+    /// Resets the event engine's bookkeeping to its conservative state,
+    /// safe after arbitrary external mutation: every SM is quiet with a
+    /// wake of 0, so the next tick dispatches every SM and rebuilds the
+    /// hot set and the wakes from what each SM does.
+    fn arm(&mut self) {
+        self.wake.fill(0);
+        self.hot.fill(false);
+        self.hot_count = 0;
     }
 
     /// Component dispatches actually performed during ticked cycles.
@@ -311,26 +300,22 @@ impl GpuSystem {
         self.tick();
     }
 
-    /// Audits the wake registry against live `next_event` answers: the
-    /// heap structure must be intact, every registered SM wake must be
-    /// *at or before* the SM's true next event — early wakes cost a
-    /// no-op dispatch, late wakes lose events (DESIGN.md §3i) — and
-    /// every memory-side slot must still be parked at [`NEVER`] (those
-    /// components are gated by direct per-cycle tests, never by the
-    /// wheel).
+    /// Audits the event engine's wake array against live `next_event`
+    /// answers: hot SMs must be parked at [`NEVER`], and every quiet SM's
+    /// wake must be *at or before* its true next event — early wakes
+    /// cost a no-op dispatch, late wakes lose events (DESIGN.md §3i).
     #[doc(hidden)]
     pub fn debug_audit_wakes(&self) -> Result<(), String> {
-        self.wheel.audit()?;
         let now = self.cycle;
         for (si, sm) in self.sms.iter().enumerate() {
-            let wake = self.wheel.get(si);
+            let wake = self.wake[si];
             if self.hot[si] {
                 // Hot SMs are dispatched unconditionally every cycle;
-                // their wheel slot must be parked so a stale entry can
-                // never shadow the hot flag after demotion.
+                // their wake must be parked so a stale entry can never
+                // shadow the hot flag after demotion.
                 if wake != NEVER {
                     return Err(format!(
-                        "SM {si}: hot but wheel slot is armed ({wake}) \
+                        "SM {si}: hot but its wake is armed ({wake}) \
                          instead of parked at NEVER"
                     ));
                 }
@@ -341,15 +326,6 @@ impl GpuSystem {
                 return Err(format!(
                     "SM {si}: registered wake {wake} is after its true \
                      next event {truth} at cycle {now}"
-                ));
-            }
-        }
-        for c in self.sms.len()..self.wheel.len() {
-            if self.wheel.get(c) != NEVER {
-                return Err(format!(
-                    "memory-side component {c}: wheel slot is armed \
-                     ({}) but must stay parked at NEVER",
-                    self.wheel.get(c)
                 ));
             }
         }
@@ -480,13 +456,12 @@ impl GpuSystem {
     /// Runs until every warp retires and the hierarchy drains, or
     /// `max_cycles` elapses. Returns the run's statistics.
     pub fn run(&mut self, max_cycles: u64) -> SimStats {
-        if self.active {
-            // A caller may have mutated components between runs (queued
-            // DRAM work, delivered responses, reset in-flight state):
-            // re-register every SM as due so the first tick rebuilds
-            // the wake registry from live `next_event` answers.
-            self.arm_wheel();
-        }
+        // A caller may have mutated components between runs (queued
+        // DRAM work, delivered responses, reset in-flight state): re-arm
+        // so the first tick rebuilds every wake from live `next_event`
+        // answers.
+        self.arm();
+        let event = self.event_engine();
         while self.cycle < max_cycles {
             // Close profiling windows *before* the boundary tick so each
             // window covers exactly `[start, start + window)`. Skip spans
@@ -508,7 +483,7 @@ impl GpuSystem {
             if self.is_done() {
                 break;
             }
-            if self.skip {
+            if event {
                 let now = self.cycle;
                 let mut target = match self.next_event_cycle(now) {
                     Some(t) => t.min(max_cycles),
@@ -549,58 +524,31 @@ impl GpuSystem {
     }
 
     /// The earliest cycle at or after `now` at which *any* component does
-    /// observable work — the cycle the engine may fast-forward to. `None`
-    /// when every component is quiescent (deadlock: only reachable under
-    /// a cycle cap). With active-set scheduling on, the SM half — the
-    /// expensive one, a per-warp scan across every SM — collapses to an
-    /// O(1) wheel peek (every tick leaves the registry current); the
-    /// memory side is still scanned directly, exactly as the legacy
-    /// engine does, because its `next_event` answers change with packets
-    /// queued *this same cycle* and caching them eagerly costs more per
-    /// cycle than the scan. Without active-set, the full component scan
-    /// (early-returning `Some(now)` as soon as anything is due
-    /// immediately, so the can't-skip case stays cheap).
+    /// observable work — the cycle the event engine may fast-forward to.
+    /// `None` when every component is quiescent (deadlock: only reachable
+    /// under a cycle cap). Every tick leaves `hot` and `wake` current, so
+    /// the SM half is a counter test plus, only when no SM is hot, a scan
+    /// of the per-SM wake array. The memory side is scanned directly,
+    /// because its `next_event` answers change with packets queued *this
+    /// same cycle* and caching them costs more per cycle than the scan.
     fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if self.active {
-            // Any hot SM ticks every cycle: no skip is possible, and the
-            // whole memory-side scan — per-channel DRAM queue walks
-            // included — is not worth computing. This is the busy-cycle
-            // common case, answered by one counter load.
-            if self.hot_count > 0 {
-                return Some(now);
-            }
-            let sm = self.wheel.peek_min();
-            // Some quiet SM is due right now (a wake below `now` is a
-            // stale-early registration — always safe, the dispatch is a
-            // no-op): again no skip is possible.
-            if sm <= now {
-                return Some(now);
-            }
-            return match (sm, self.mem_next_event(now)) {
-                (NEVER, None) => None,
-                (NEVER, Some(m)) => Some(m.max(now)),
-                (t, None) => Some(t),
-                (t, Some(m)) => Some(t.min(m)),
-            };
+        // Any hot SM ticks every cycle: no skip is possible, and neither
+        // the wake scan nor the memory-side scan (per-channel DRAM queue
+        // walks included) is worth computing. This is the busy-cycle
+        // common case, answered by one counter load.
+        if self.hot_count > 0 {
+            return Some(now);
         }
-        let mut earliest = match self.mem_next_event(now) {
-            Some(t) if t <= now => return Some(now),
-            Some(t) => t,
-            None => u64::MAX,
-        };
-        for sm in &self.sms {
-            if let Some(t) = sm.next_event(now) {
-                debug_assert!(t >= now, "component scheduled an event in the past");
-                if t <= now {
-                    return Some(now);
-                }
-                earliest = earliest.min(t);
-            }
+        let sm = self.wake.iter().copied().min().unwrap_or(NEVER);
+        // Some quiet SM is due right now (a wake below `now` is a
+        // stale-early registration — always safe, the dispatch is a
+        // no-op): again no skip is possible.
+        if sm <= now {
+            return Some(now);
         }
-        if earliest == u64::MAX {
-            None
-        } else {
-            Some(earliest)
+        match self.mem_next_event(now) {
+            Some(m) => Some(m.min(sm)),
+            None => (sm != NEVER).then_some(sm),
         }
     }
 
@@ -681,7 +629,8 @@ impl GpuSystem {
         let now = self.cycle;
         // Every ticked cycle offers one dispatch per component; the
         // phases below count what they actually dispatch.
-        self.component_opportunities += self.wheel.len() as u64;
+        self.component_opportunities +=
+            (self.sms.len() + 2 + self.l2.len() + self.dram.len()) as u64;
         // 1 in SAMPLE_PERIOD ticks is phase-timed; the rest take the plain
         // path (no Instant reads). With the profiler off this is one
         // branch.
@@ -716,15 +665,16 @@ impl GpuSystem {
     }
 
     /// Phase 1: SMs — L1 pipelines, wake-ups, issue (the coalesce trace
-    /// point lives inside the SM's issue stage). With active-set
-    /// scheduling on, an SM whose registered wake lies in the future is
-    /// credited one idle/stall cycle instead of being ticked — a dead
-    /// tick classifies the cycle identically (pinned by
+    /// point lives inside the SM's issue stage). On the event engine, a
+    /// quiet SM whose wake lies in the future is credited one idle/stall
+    /// cycle instead of being ticked — a dead tick classifies the cycle
+    /// identically (pinned by
     /// `sm::tests::advance_idle_matches_ticked_classification`), so the
     /// stats are bitwise the same either way.
     fn phase_sms(&mut self, now: u64) {
+        let event = self.event_engine();
         for (si, sm) in self.sms.iter_mut().enumerate() {
-            if self.active && !self.hot[si] && !self.wheel.due(si, now) {
+            if event && !self.hot[si] && self.wake[si] > now {
                 sm.advance_idle(1);
                 continue;
             }
@@ -739,14 +689,13 @@ impl GpuSystem {
     /// response-expecting reads need a trace slot; write-throughs carry
     /// the NO_SLOT sentinel and are never looked up again.
     fn phase_inject(&mut self, now: u64) {
+        let event = self.event_engine();
         for si in 0..self.sms.len() {
-            if self.active {
-                // An SM that was not due this cycle was not ticked in
-                // phase 1 and cannot hold fresh outgoing requests (they
-                // are drained the same cycle they are produced).
-                if !self.hot[si] && !self.wheel.due(si, now) {
-                    continue;
-                }
+            // An SM that was not due this cycle was not ticked in phase 1
+            // and cannot hold fresh outgoing requests (they are drained
+            // the same cycle they are produced).
+            if event && !self.hot[si] && self.wake[si] > now {
+                continue;
             }
             self.outgoing_buf.clear();
             self.sms[si].drain_outgoing(&mut self.outgoing_buf);
@@ -754,7 +703,7 @@ impl GpuSystem {
                 let req = self.outgoing_buf[i];
                 self.inject_req(si, req, now);
             }
-            if self.active {
+            if event {
                 // Hot↔quiet transition bookkeeping, *after* the drain (an
                 // undrained request pins `next_event` to the present). A
                 // non-bubble tick means the SM acted and may act again
@@ -768,19 +717,18 @@ impl GpuSystem {
                         self.hot[si] = false;
                         self.hot_count -= 1;
                     }
-                    let wake = self.sms[si].next_event(now + 1).unwrap_or(NEVER);
-                    self.wheel.set(si, wake);
+                    self.wake[si] = self.sms[si].next_event(now + 1).unwrap_or(NEVER);
                 } else if !self.hot[si] {
                     self.hot[si] = true;
                     self.hot_count += 1;
-                    self.wheel.set(si, NEVER);
+                    self.wake[si] = NEVER;
                 }
             }
         }
         // The request network is due when a packet was pushed this cycle
         // (always delivered to it before this point) or a queued head
         // matures; `next_event` folds both, so the test is exact.
-        if !self.active || self.req_net.next_event(now).is_some_and(|t| t <= now) {
+        if !event || self.req_net.next_event(now).is_some_and(|t| t <= now) {
             self.component_ticks += 1;
             self.deliver_requests(now);
         } else {
@@ -863,18 +811,18 @@ impl GpuSystem {
     }
 
     /// Phase 4: L2 service. A slice with an empty input queue has nothing
-    /// to do this cycle and is skipped; the active-set engine skips
-    /// harder — a queued head that has not matured is also a no-op tick
-    /// (the slice early-returns without touching a statistic), so the
-    /// direct `next_event` test is exact. It must be direct rather than
-    /// wheel-cached because `deliver_requests` ran earlier *this same
-    /// cycle* and can make a slice due immediately when `l2_latency` is
-    /// zero.
+    /// to do this cycle and is skipped; the event engine skips harder —
+    /// a queued head that has not matured is also a no-op tick (the
+    /// slice early-returns without touching a statistic), so the direct
+    /// `next_event` test is exact. It must be direct rather than cached
+    /// because `deliver_requests` ran earlier *this same cycle* and can
+    /// make a slice due immediately when `l2_latency` is zero.
     fn phase_l2(&mut self, now: u64) {
+        let event = self.event_engine();
         let mut out = std::mem::take(&mut self.l2_out);
         out.clear();
         for bi in 0..self.l2.len() {
-            let due = if self.active {
+            let due = if event {
                 self.l2[bi].next_event(now).is_some_and(|t| t <= now)
             } else {
                 self.l2[bi].queued_packets() != 0
@@ -963,8 +911,9 @@ impl GpuSystem {
     fn phase_respond(&mut self, now: u64) {
         // Direct due test for the same reason as phase 4: responses were
         // pushed into the network earlier this cycle (phases 4–6), so a
-        // wheel entry registered last cycle could be stale-late.
-        if self.active && self.rsp_net.next_event(now).is_none_or(|t| t > now) {
+        // due cycle cached last cycle could be stale-late.
+        let event = self.event_engine();
+        if event && self.rsp_net.next_event(now).is_none_or(|t| t > now) {
             self.rsp_net.advance_idle(1);
             return;
         }
@@ -1019,12 +968,12 @@ impl GpuSystem {
                     line: p.line,
                 },
             );
-            if self.active && !self.hot[tr.sm] {
+            if event && !self.hot[tr.sm] {
                 // A delivered fill wakes the warp: the SM has work next
                 // cycle no matter what its earlier registration said.
                 self.hot[tr.sm] = true;
                 self.hot_count += 1;
-                self.wheel.set(tr.sm, NEVER);
+                self.wake[tr.sm] = NEVER;
             }
         }
         self.deliver_buf = deliver;
@@ -1357,54 +1306,39 @@ mod tests {
     }
 
     #[test]
-    fn cycle_skipping_preserves_stats_bitwise() {
-        let run = |skip: bool| {
+    fn event_and_reference_engines_agree_bitwise() {
+        // Clearing either flag selects the always-tick reference: every
+        // combination must reproduce the event engine's statistics, and
+        // only the event engine may skip cycles or elide dispatches.
+        let run = |skip: bool, active: bool| {
             let mut sys = GpuSystem::new(
                 small_cfg(),
                 |_| Box::new(IdealL1::new()),
                 |s, w| streaming_program(s, w, 10),
             );
             sys.set_cycle_skipping(skip);
+            sys.set_active_set(active);
             let stats = sys.run(1_000_000);
-            (stats, sys.skipped_cycles())
+            let ticks = (sys.component_ticks(), sys.component_opportunities());
+            (stats, sys.skipped_cycles(), ticks)
         };
-        let (fast, skipped) = run(true);
-        let (slow, none) = run(false);
-        assert_eq!(fast, slow, "skip engine must be observationally exact");
-        assert_eq!(none, 0);
+        let (event, skipped, (ticks, opps)) = run(true, true);
         assert!(
             skipped > 0,
             "a memory-latency-bound run must have dead cycles to skip"
         );
-    }
-
-    #[test]
-    fn active_set_preserves_stats_bitwise() {
-        // All four engine corners (active-set × cycle-skip) must agree
-        // bitwise; the active-set corners must actually elide dispatches.
-        let run = |active: bool, skip: bool| {
-            let mut sys = GpuSystem::new(
-                small_cfg(),
-                |_| Box::new(IdealL1::new()),
-                |s, w| streaming_program(s, w, 10),
-            );
-            sys.set_active_set(active);
-            sys.set_cycle_skipping(skip);
-            let stats = sys.run(1_000_000);
-            (stats, sys.component_ticks(), sys.component_opportunities())
-        };
-        let (base, full_ticks, _) = run(false, false);
-        for (active, skip) in [(true, true), (true, false), (false, true)] {
-            let (stats, ticks, opps) = run(active, skip);
-            assert_eq!(stats, base, "active={active} skip={skip}");
-            if active {
-                assert!(
-                    ticks < full_ticks,
-                    "active={active} skip={skip}: dispatched {ticks}, \
-                     always-tick dispatched {full_ticks}"
-                );
-                assert!(ticks <= opps);
-            }
+        assert!(ticks <= opps);
+        let (_, _, reference) = run(false, false);
+        assert!(
+            ticks < reference.0,
+            "event engine dispatched {ticks}, always-tick dispatched {}",
+            reference.0
+        );
+        for (skip, active) in [(false, true), (true, false), (false, false)] {
+            let (stats, skipped, dispatch) = run(skip, active);
+            assert_eq!(stats, event, "skip={skip} active={active}");
+            assert_eq!(skipped, 0, "skip={skip} active={active}: reference skipped");
+            assert_eq!(dispatch, reference, "skip={skip} active={active}");
         }
     }
 

@@ -3,11 +3,12 @@
 //! A [`CellKey`] digests **everything** that can change a cell's
 //! simulation outcome: the full workload spec, the full machine
 //! configuration, the full L1D configuration, the resolved instruction
-//! budget, the engine selection (skip/tick, active set) and the
-//! engine's semantic version + feature-flag fingerprint. Two processes,
-//! two machines or two months apart, the same inputs derive the same key
-//! — and perturbing any single field derives a different one (pinned by
-//! this crate's `key_properties` test).
+//! budget and the engine's semantic version + feature-flag fingerprint.
+//! The engine selection (event engine or always-tick reference) is not
+//! part of the key: both produce the same [`crate::record::CellRecord`].
+//! Two processes, two machines or two months apart, the same inputs
+//! derive the same key — and perturbing any single field derives a
+//! different one (pinned by this crate's `key_properties` test).
 //!
 //! # Invalidation contract
 //!
@@ -87,14 +88,6 @@ pub struct KeyParts<'a> {
     pub ops_per_warp: usize,
     /// Hard cycle cap.
     pub max_cycles: u64,
-    /// Event-driven cycle skipping on? (Statistics are engine-identical,
-    /// but `skipped_cycles` in the recorded result is not, so the key
-    /// distinguishes the engines.)
-    pub skip: bool,
-    /// Active-set tick scheduling on? Statistics are engine-identical
-    /// here too, but keying the axis keeps the invalidation contract
-    /// structural rather than resting on the equivalence proof.
-    pub active_set: bool,
 }
 
 /// A derived content digest plus the canonical text it digests.
@@ -132,11 +125,9 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v2\n");
+    s.push_str("fuse-cell-key-v3\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
     s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
-    s.push_str(&format!("skip={}\n", parts.skip));
-    s.push_str(&format!("active_set={}\n", parts.active_set));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
@@ -198,8 +189,6 @@ mod tests {
             gpu,
             ops_per_warp: 1000,
             max_cycles: 1_000_000,
-            skip: true,
-            active_set: true,
         }
     }
 
@@ -223,9 +212,8 @@ mod tests {
         let l1 = L1Preset::DyFuse.config();
         let k = CellKey::derive(&parts(&w, &gpu, &l1));
         for needle in [
+            "fuse-cell-key-v3\n",
             ENGINE_VERSION,
-            "skip=true",
-            "active_set=true",
             "ops_per_warp=1000",
             "max_cycles=1000000",
             "l1.name=Dy-FUSE",

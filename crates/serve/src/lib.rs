@@ -13,8 +13,9 @@
 //!
 //! * [`key`] — [`key::CellKey`]: a content digest over (workload spec,
 //!   machine config, L1 configuration, engine version + feature flags,
-//!   budget, skip and active-set modes). Any field change invalidates;
-//!   nothing else does.
+//!   budget). Any field change invalidates; nothing else does — the
+//!   engine selection included, since both engines produce the same
+//!   record.
 //! * [`record`] — [`record::CellRecord`]: the engine-independent outcome
 //!   of one cell ([`fuse_gpu::stats::SimStats`], controller metrics,
 //!   energy breakdown) with a versioned, checksummed text serialisation.

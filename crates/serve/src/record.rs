@@ -3,21 +3,21 @@
 //! A [`CellRecord`] is the engine-independent outcome of one simulation
 //! cell — exactly the payload an experiment needs to render a figure row
 //! without touching the engine: the full [`SimStats`], the summed FUSE
-//! controller metrics, the evaluated energy breakdown and the engine's
-//! skipped-cycle count.
+//! controller metrics and the evaluated energy breakdown. Engine
+//! telemetry (skipped cycles, dispatch counts) is not recorded: the
+//! event engine and the always-tick reference produce the same record.
 //!
-//! # On-disk format (`fuse-cell-record-v1`)
+//! # On-disk format (`fuse-cell-record-v2`)
 //!
 //! A single UTF-8 text file:
 //!
 //! ```text
-//! fuse-cell-record-v1
+//! fuse-cell-record-v2
 //! key=<32 hex digest>
 //! keytext=<byte length N>
 //! <N bytes of canonical key text (multi-line)>
 //! workload=ATAX
 //! config=Dy-FUSE
-//! skipped_cycles=123
 //! sim.cycles=456
 //! ...one line per statistic field...
 //! energy.l2_nj=0x40a3880000000000
@@ -45,7 +45,7 @@ use crate::key::{fnv1a64, CellKey};
 /// Format tag at the top of every entry file. Bump on any layout change;
 /// old-version files parse as corrupt and are quarantined, never
 /// misinterpreted.
-pub const RECORD_FORMAT: &str = "fuse-cell-record-v1";
+pub const RECORD_FORMAT: &str = "fuse-cell-record-v2";
 
 /// The recorded outcome of one simulation cell.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -60,15 +60,12 @@ pub struct CellRecord {
     pub metrics: L1Metrics,
     /// Evaluated energy breakdown.
     pub energy: EnergyBreakdown,
-    /// Cycles the engine fast-forwarded over (0 under `--no-skip`).
-    pub skipped_cycles: u64,
 }
 
 /// Applies `$op!(ctx…, "name", field.path)` to every integer-valued
 /// statistic field of a [`CellRecord`].
 macro_rules! with_int_fields {
     ($op:ident, $($ctx:tt)*) => {
-        $op!($($ctx)*, "skipped_cycles", skipped_cycles);
         $op!($($ctx)*, "sim.cycles", sim, cycles);
         $op!($($ctx)*, "sim.instructions", sim, instructions);
         $op!($($ctx)*, "sim.l1.hits", sim, l1, hits);
@@ -181,7 +178,7 @@ macro_rules! take_f64 {
 }
 
 impl CellRecord {
-    /// Serialises this record under `key` in the `fuse-cell-record-v1`
+    /// Serialises this record under `key` in the [`RECORD_FORMAT`]
     /// format, checksum included.
     pub fn serialize(&self, key: &CellKey) -> String {
         let mut out = String::with_capacity(2048 + key.text.len());
@@ -201,7 +198,7 @@ impl CellRecord {
         out
     }
 
-    /// Parses a `fuse-cell-record-v1` file back into (record, key hex,
+    /// Parses a [`RECORD_FORMAT`] file back into (record, key hex,
     /// canonical key text).
     ///
     /// # Errors
@@ -320,8 +317,6 @@ mod tests {
             gpu: &gpu,
             ops_per_warp: 100,
             max_cycles: 1000,
-            skip: true,
-            active_set: true,
         })
     }
 
@@ -329,7 +324,6 @@ mod tests {
         let mut r = CellRecord {
             workload: "ATAX".to_string(),
             config: "Dy-FUSE".to_string(),
-            skipped_cycles: 77,
             ..CellRecord::default()
         };
         r.sim.cycles = 123_456;

@@ -146,12 +146,20 @@ impl ResultCache {
             if !shard.file_type()?.is_dir() {
                 continue;
             }
+            let shard_name = shard.file_name();
+            let shard_name = shard_name.to_string_lossy();
             for f in std::fs::read_dir(shard.path())? {
                 let f = f?;
                 let name = f.file_name();
                 let name = name.to_string_lossy();
-                let Some(digest) = name.strip_suffix(".cell") else {
-                    continue; // quarantined or foreign files stay put
+                // Quarantined, foreign and misplaced files stay put,
+                // unindexed: only a name this cache could have written
+                // maps back to its own path.
+                let Some(digest) = name
+                    .strip_suffix(".cell")
+                    .filter(|d| is_entry_name(d, &shard_name))
+                else {
+                    continue;
                 };
                 let meta = f.metadata()?;
                 found.push((
@@ -388,6 +396,17 @@ impl ResultCache {
     }
 }
 
+/// True when `digest` is a name [`ResultCache::insert`] writes into the
+/// shard directory `shard`: 32 lowercase hex digits whose first two are
+/// the shard.
+fn is_entry_name(digest: &str, shard: &str) -> bool {
+    digest.len() == 32
+        && digest
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        && digest[..2] == *shard
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,8 +427,6 @@ mod tests {
             gpu: &gpu,
             ops_per_warp: ops,
             max_cycles: 1000,
-            skip: true,
-            active_set: true,
         })
     }
 
@@ -547,6 +564,43 @@ mod tests {
         );
         let reopened = ResultCache::open(&dir, None).unwrap();
         assert!(reopened.get(&key).is_some(), "the survivor parses clean");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stray_files_are_left_alone_and_unindexed() {
+        // A name too short to shard, and a well-formed digest in the
+        // wrong shard: neither maps back to its own path, so indexing
+        // either would panic (`path_of` slices the name) or pin a file
+        // no operation can ever move.
+        let dir = tmp_dir("stray");
+        let shard = dir.join(LAYOUT_DIR).join("ab");
+        std::fs::create_dir_all(&shard).unwrap();
+        let strays = [
+            (shard.join("x.cell"), "short name"),
+            (
+                shard.join(format!("cd{}.cell", "0".repeat(30))),
+                "wrong shard",
+            ),
+        ];
+        for (path, body) in &strays {
+            std::fs::write(path, body).unwrap();
+        }
+        let cache = ResultCache::open(&dir, None).unwrap();
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.verify().is_empty());
+        assert_eq!(cache.gc(0), 0);
+        assert!(!cache.remove("x"));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes, s.quarantined), (0, 0, 0));
+        for (path, body) in &strays {
+            assert_eq!(
+                std::fs::read_to_string(path).unwrap(),
+                *body,
+                "{} must stay untouched",
+                path.display()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -54,28 +54,12 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-# Differential smoke: run the skip and tick engines in lockstep under the
-# fuse-check reference-model oracle over the full workload grid plus a
-# short fixed fuzz sweep. Exits non-zero on any divergence (DESIGN.md §3f).
+# Differential smoke: run the event engine and the always-tick reference
+# in lockstep under the fuse-check reference-model oracle over the full
+# workload grid plus a short fixed fuzz sweep. Exits non-zero on any
+# divergence (DESIGN.md §3f).
 echo "==> fusesim check (oracle lockstep grid + fuzz smoke)"
 ./target/release/fusesim check --seeds 16 --quiet
-
-# Active-set smoke: the wake-wheel scheduler (the default engine) and
-# always-tick must produce byte-identical engine-independent stats
-# (DESIGN.md §3i).
-echo "==> active-set smoke (--no-active-set vs default, stats must match bitwise)"
-./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --threads 1 --stats-json /tmp/fuse-verify-serial.json >/dev/null
-./target/release/fusesim sweep --workloads ATAX,GEMM --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --threads 1 --no-active-set \
-    --stats-json /tmp/fuse-verify-fulltick.json >/dev/null
-diff /tmp/fuse-verify-serial.json /tmp/fuse-verify-fulltick.json
-
-# Scheduler-overhead gate: wheel micro-costs, a toggled cell and the
-# toggled acceptance grid — bitwise-identical stats, strictly fewer
-# dispatches with the wheel on (like alloc_budget gates allocations).
-echo "==> sched_overhead --check (active-set dispatch gate)"
-cargo bench -p fuse-bench --bench sched_overhead -- --check
 
 # Result-cache round trip: the fig13 acceptance grid (21 workloads x
 # {L1-SRAM, Dy-FUSE}) cold then warm into a fresh cache directory. The

@@ -40,8 +40,9 @@ USAGE:
     fusesim run [OPTIONS]                run one (workload, config) pair
     fusesim compare [OPTIONS]            run every L1 configuration on one workload
     fusesim sweep [OPTIONS]              run a (workloads x configs) grid in parallel
-    fusesim check [OPTIONS]              differential-test the engine against the
-                                         fuse-check reference-model oracle (lockstep
+    fusesim check [OPTIONS]              run the event engine and the always-tick
+                                         reference engine in lockstep under the
+                                         fuse-check reference-model oracle (workload
                                          grid + seeded fuzzing; exits non-zero on any
                                          divergence)
     fusesim cache <ACTION> [OPTIONS]     inspect or maintain a result cache
@@ -83,11 +84,6 @@ OPTIONS:
                          `sweep`, opts every cell into profiling)
     --trace-capacity <N> event-ring capacity (default 65536; oldest events
                          are overwritten once full)
-    --no-skip            disable event-driven cycle skipping (slow tick
-                         engine; statistics are bitwise identical)
-    --no-active-set      disable active-set tick scheduling, ticking every
-                         component every busy cycle (statistics are bitwise
-                         identical; see DESIGN.md §3i)
     --seeds <N>          fuzz seeds to run (check; default 64; 0 skips fuzzing)
     --seed-base <N>      first fuzz seed (check; default 0)
     --skip-grid          skip the workload-grid lockstep pass (check)
@@ -143,8 +139,6 @@ struct Args {
     trace_out: Option<String>,
     metrics_window: Option<u64>,
     trace_capacity: Option<usize>,
-    no_skip: bool,
-    no_active_set: bool,
     volta: bool,
     scale: f64,
     quiet: bool,
@@ -189,8 +183,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         trace_out: None,
         metrics_window: None,
         trace_capacity: None,
-        no_skip: false,
-        no_active_set: false,
         volta: false,
         scale: 1.0,
         quiet: false,
@@ -281,8 +273,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--repro-dir" => {
                 args.repro_dir = argv.next().ok_or("--repro-dir needs a value")?;
             }
-            "--no-skip" => args.no_skip = true,
-            "--no-active-set" => args.no_active_set = true,
             "--volta" => args.volta = true,
             "--quiet" => args.quiet = true,
             "--scale" => {
@@ -387,8 +377,6 @@ fn run_config(args: &Args) -> Result<RunConfig, String> {
         RunConfig::standard()
     };
     rc.ops_scale *= args.scale;
-    rc.skip = !args.no_skip;
-    rc.active_set = !args.no_active_set;
     if args.metrics_out.is_some() || args.metrics_window.is_some() {
         rc.metrics_window = Some(args.metrics_window.unwrap_or(4096));
     }
@@ -1027,19 +1015,8 @@ mod tests {
         assert_eq!(a.config, "By-NVM");
         assert!(a.volta);
         assert_eq!(a.scale, 2.0);
-        assert!(!a.no_skip, "skipping defaults on");
-        assert!(run_config(&a).unwrap().skip);
-        assert!(!a.no_active_set, "active-set scheduling defaults on");
-        assert!(run_config(&a).unwrap().active_set);
-    }
-
-    #[test]
-    fn no_active_set_reaches_the_engine() {
-        let a = args(&["run", "--no-active-set"]).unwrap();
-        assert!(a.no_active_set);
         let rc = run_config(&a).unwrap();
-        assert!(!rc.active_set, "--no-active-set must reach the engine");
-        assert!(rc.skip, "--no-active-set must not disturb cycle skipping");
+        assert!(rc.skip && rc.active_set, "the event engine is the default");
     }
 
     #[test]
@@ -1077,18 +1054,12 @@ mod tests {
             "out.json",
             "--stats-json",
             "digest.json",
-            "--no-skip",
         ])
         .unwrap();
         assert_eq!(a.command, "sweep");
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.stats_json.as_deref(), Some("digest.json"));
-        assert!(a.no_skip);
-        assert!(
-            !run_config(&a).unwrap().skip,
-            "--no-skip must reach the engine"
-        );
         assert_eq!(parse_sweep_workloads(&a.workloads).unwrap().len(), 2);
         assert_eq!(
             parse_sweep_presets(&a.configs).unwrap(),

@@ -29,13 +29,12 @@ pub struct RunConfig {
     pub ops_scale: f64,
     /// Hard cycle cap (safety net; runs normally finish by retiring).
     pub max_cycles: u64,
-    /// Event-driven cycle skipping (`fusesim --no-skip` turns it off).
-    /// Either engine yields bitwise-identical [`SimStats`]; skipping is
-    /// just faster.
+    /// Event engine selection, with [`RunConfig::active_set`]: the event
+    /// engine runs iff both are set, and clearing either selects the
+    /// always-tick reference engine. Both engines yield bitwise-identical
+    /// [`SimStats`]; see DESIGN.md §3c.
     pub skip: bool,
-    /// Active-set tick scheduling — busy cycles dispatch only components
-    /// that are due (`fusesim --no-active-set` turns it off). Bitwise
-    /// identical [`SimStats`] either way; see DESIGN.md §3i.
+    /// See [`RunConfig::skip`].
     pub active_set: bool,
     /// Cycle-attribution profiling window (`fusesim --metrics-out`).
     /// `None` (the default) keeps the hot path observability-free;
@@ -129,13 +128,13 @@ pub struct RunResult {
     pub metrics: L1Metrics,
     /// Evaluated energy breakdown.
     pub energy: EnergyBreakdown,
-    /// Cycles the engine fast-forwarded over (0 with `--no-skip`).
+    /// Cycles the engine fast-forwarded over (0 on the reference engine).
     /// Not part of `sim`: both engines must report identical statistics.
     pub skipped_cycles: u64,
-    /// Component dispatches the serial engine actually performed, and the
+    /// Component dispatches the engine actually performed, and the
     /// opportunities it had (components × ticked cycles). Engine
     /// telemetry like `skipped_cycles` — not part of `sim`, not cached
-    /// (both rehydrate as 0 from a [`CellRecord`]).
+    /// (all three rehydrate as 0 from a [`CellRecord`]).
     pub component_ticks: u64,
     /// See [`RunResult::component_ticks`].
     pub component_opportunities: u64,
@@ -178,12 +177,12 @@ impl RunResult {
             sim: self.sim,
             metrics: self.metrics,
             energy: self.energy,
-            skipped_cycles: self.skipped_cycles,
         }
     }
 
-    /// Rehydrates a result from a cached record. `profile` and `trace`
-    /// are `None`: observed runs are never cached.
+    /// Rehydrates a result from a cached record. The engine telemetry is
+    /// 0 and `profile` and `trace` are `None`: records hold only
+    /// engine-independent outcomes, and observed runs are never cached.
     pub fn from_record(rec: &CellRecord) -> RunResult {
         RunResult {
             workload: rec.workload.clone(),
@@ -191,7 +190,7 @@ impl RunResult {
             sim: rec.sim,
             metrics: rec.metrics,
             energy: rec.energy,
-            skipped_cycles: rec.skipped_cycles,
+            skipped_cycles: 0,
             component_ticks: 0,
             component_opportunities: 0,
             profile: None,
@@ -281,8 +280,6 @@ fn cell_key(spec: &WorkloadSpec, l1: L1Column<'_>, rc: &RunConfig) -> CellKey {
         gpu: &rc.gpu,
         ops_per_warp: rc.ops_for(spec),
         max_cycles: rc.max_cycles,
-        skip: rc.skip,
-        active_set: rc.active_set,
     })
 }
 
@@ -387,8 +384,8 @@ pub fn run_l1_config(
 /// Lockstep-verifies `spec` on `preset` under `rc`'s machine and budget:
 /// both engines run with the `fuse-check` reference-model oracle
 /// attached, and the report carries every divergence (oracle violations,
-/// statistic mismatches, event-stream diffs). `rc.skip` is ignored —
-/// lockstep always runs both engines.
+/// statistic mismatches, event-stream diffs). `rc.skip` and
+/// `rc.active_set` are ignored — lockstep always runs both engines.
 ///
 /// # Examples
 ///
@@ -453,37 +450,40 @@ mod tests {
         assert_eq!(a.sim, b.sim);
     }
 
-    #[test]
-    fn skip_and_tick_engines_agree_on_a_fuse_config() {
+    /// Runs srad_v1 × Dy-FUSE on the event engine and on `slow_rc`, which
+    /// clears one engine flag and so selects the always-tick reference:
+    /// stats agree bitwise, only the event engine skips, and it
+    /// dispatches strictly fewer components.
+    fn assert_reference_agrees(slow_rc: &RunConfig) {
         let w = by_name("srad_v1").unwrap();
         let fast = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
-        let slow_rc = RunConfig {
-            skip: false,
-            ..RunConfig::smoke()
-        };
-        let slow = run_workload(&w, L1Preset::DyFuse, &slow_rc);
+        assert!(fast.skipped_cycles > 0, "smoke runs have dead cycles");
+        assert!(fast.component_ticks <= fast.component_opportunities);
+        let slow = run_workload(&w, L1Preset::DyFuse, slow_rc);
         assert_eq!(fast.sim, slow.sim, "engines must agree bitwise");
         assert_eq!(slow.skipped_cycles, 0);
-        assert!(fast.skipped_cycles > 0, "smoke runs have dead cycles");
+        assert!(
+            fast.component_ticks < slow.component_ticks,
+            "the event engine must elide dispatches: {} vs {}",
+            fast.component_ticks,
+            slow.component_ticks
+        );
+    }
+
+    #[test]
+    fn skip_and_tick_engines_agree_on_a_fuse_config() {
+        assert_reference_agrees(&RunConfig {
+            skip: false,
+            ..RunConfig::smoke()
+        });
     }
 
     #[test]
     fn active_set_and_always_tick_agree_on_a_fuse_config() {
-        let w = by_name("srad_v1").unwrap();
-        let fast = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
-        let slow_rc = RunConfig {
+        assert_reference_agrees(&RunConfig {
             active_set: false,
             ..RunConfig::smoke()
-        };
-        let slow = run_workload(&w, L1Preset::DyFuse, &slow_rc);
-        assert_eq!(fast.sim, slow.sim, "schedulers must agree bitwise");
-        assert!(
-            fast.component_ticks < slow.component_ticks,
-            "active-set must elide dispatches: {} vs {}",
-            fast.component_ticks,
-            slow.component_ticks
-        );
-        assert!(fast.component_ticks <= fast.component_opportunities);
+        });
     }
 
     #[test]
@@ -514,7 +514,7 @@ mod tests {
         assert_eq!(r.sim, back.sim);
         assert_eq!(r.metrics, back.metrics);
         assert_eq!(r.energy, back.energy);
-        assert_eq!(r.skipped_cycles, back.skipped_cycles);
+        assert_eq!(back.skipped_cycles, 0, "records are engine-independent");
         assert_eq!(r.workload, back.workload);
         assert_eq!(r.config, back.config);
         assert!(back.profile.is_none() && back.trace.is_none());
@@ -540,6 +540,13 @@ mod tests {
                 ..RunConfig::smoke()
             },
         );
+        let keys = [&base, &other_preset, &other_workload, &other_budget];
+        for (i, a) in keys.iter().enumerate() {
+            for b in keys.iter().skip(i + 1) {
+                assert_ne!(a.hex, b.hex, "axes must not collide");
+            }
+        }
+        // Both engines produce the same record, so the engine is no axis.
         let tick_engine = preset_cell_key(
             &w,
             L1Preset::DyFuse,
@@ -548,27 +555,7 @@ mod tests {
                 ..RunConfig::smoke()
             },
         );
-        let always_tick = preset_cell_key(
-            &w,
-            L1Preset::DyFuse,
-            &RunConfig {
-                active_set: false,
-                ..RunConfig::smoke()
-            },
-        );
-        let keys = [
-            &base,
-            &other_preset,
-            &other_workload,
-            &other_budget,
-            &tick_engine,
-            &always_tick,
-        ];
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a.hex, b.hex, "axes must not collide");
-            }
-        }
+        assert_eq!(base, tick_engine);
         // Oracle derives a key without panicking despite having no
         // finite configuration.
         let oracle = preset_cell_key(&w, L1Preset::Oracle, &rc);

@@ -163,22 +163,6 @@ impl SweepPlan {
         self
     }
 
-    /// Enables or disables event-driven cycle skipping for every cell
-    /// (`fusesim --no-skip` routes through this). Cell statistics are
-    /// bitwise identical either way; only wall clock changes.
-    pub fn cycle_skip(mut self, on: bool) -> Self {
-        self.run_config.skip = on;
-        self
-    }
-
-    /// Enables or disables active-set tick scheduling for every cell
-    /// (`fusesim --no-active-set` routes through this). Cell statistics
-    /// are bitwise identical either way; only wall clock changes.
-    pub fn active_set(mut self, on: bool) -> Self {
-        self.run_config.active_set = on;
-        self
-    }
-
     /// Opts every cell into cycle-attribution profiling with the given
     /// window (`fusesim sweep --metrics-window`). Cell statistics stay
     /// bitwise identical; the per-cell reports ride along in
@@ -274,7 +258,12 @@ impl SweepPlan {
         SweepReport {
             name: self.name.clone(),
             threads,
-            engine: if self.run_config.skip { "skip" } else { "tick" }.to_string(),
+            engine: if self.run_config.skip && self.run_config.active_set {
+                "skip"
+            } else {
+                "tick"
+            }
+            .to_string(),
             workloads: self.workloads.iter().map(|w| w.name.to_string()).collect(),
             configs: self.configs.iter().map(|c| c.name().to_string()).collect(),
             cells: slots
@@ -352,7 +341,8 @@ impl SweepCell {
     }
 
     /// Fraction of this cell's simulated cycles the engine fast-forwarded
-    /// over instead of ticking (0 under `--no-skip`).
+    /// over instead of ticking (0 on the reference engine and for cache
+    /// hits).
     pub fn skipped_frac(&self) -> f64 {
         if self.result.sim.cycles == 0 {
             0.0
@@ -369,7 +359,8 @@ pub struct SweepReport {
     pub name: String,
     /// Worker threads used.
     pub threads: usize,
-    /// Cycle engine the cells ran on: `"skip"` or `"tick"`.
+    /// Cycle engine the cells ran on: `"skip"` (the event engine) or
+    /// `"tick"` (the always-tick reference).
     pub engine: String,
     /// Row labels (workload names).
     pub workloads: Vec<String>,
@@ -530,9 +521,8 @@ impl SweepReport {
 
     /// Serialises only the engine-independent simulation outcomes — no
     /// wall clocks, no thread counts, no skipped-cycle counters. Two runs
-    /// of the same grid on different engines (`--no-skip` vs default) or
-    /// machines must produce byte-identical output, which is what the CI
-    /// sweep-smoke step diffs.
+    /// of the same grid on different engines, hosts or thread counts, or
+    /// served from the result cache, must produce byte-identical output.
     pub fn stats_json(&self) -> String {
         let mut s = String::with_capacity(128 + 128 * self.cells.len());
         s.push_str(&format!(
@@ -725,7 +715,9 @@ mod tests {
             fast.cells.iter().all(|c| c.skipped_frac() > 0.0),
             "smoke cells are latency-bound: every one must skip"
         );
-        let slow = tiny_plan().cycle_skip(false).threads(2).run();
+        let mut slow = tiny_plan().threads(2);
+        slow.run_config.skip = false;
+        let slow = slow.run();
         assert_eq!(slow.engine, "tick");
         assert!(slow.cells.iter().all(|c| c.result.skipped_cycles == 0));
     }
@@ -733,7 +725,9 @@ mod tests {
     #[test]
     fn stats_json_is_engine_independent() {
         let fast = tiny_plan().threads(2).run();
-        let slow = tiny_plan().cycle_skip(false).threads(2).run();
+        let mut slow = tiny_plan().threads(2);
+        slow.run_config.active_set = false;
+        let slow = slow.run();
         assert_eq!(
             fast.stats_json(),
             slow.stats_json(),

@@ -1,14 +1,14 @@
-//! Seeded property test for active-set tick scheduling (DESIGN.md §3i).
+//! Seeded property test for the event engine's wake array (DESIGN.md
+//! §3i).
 //!
-//! The wake registry's single safety contract is *conservativeness*: a
+//! The wake array's single safety contract is *conservativeness*: a
 //! quiet SM's registered wake must never sit later than the SM's live
-//! `next_event` answer, hot SMs must keep their wheel slot parked, and
-//! memory-side slots must never be armed at all. An early wake only
-//! costs a no-op dispatch; a late wake silently loses an event and
-//! corrupts statistics. This test drives randomly drawn (workload,
-//! preset, machine) cells cycle by cycle through the engine's debug
-//! stepping hook and audits the registry between every pair of ticks —
-//! the per-cycle interleavings a whole-run bitwise comparison (which
+//! `next_event` answer, and hot SMs must keep their wake parked. An
+//! early wake only costs a no-op dispatch; a late wake silently loses an
+//! event and corrupts statistics. This test drives randomly drawn
+//! (workload, preset, machine) cells cycle by cycle through the engine's
+//! debug stepping hook and audits the wakes between every pair of ticks
+//! — the per-cycle interleavings a whole-run bitwise comparison (which
 //! `tests/skip_equivalence.rs` also pins) can mask.
 
 use fuse::core::config::L1Preset;
@@ -63,7 +63,6 @@ fn wake_registry_stays_conservative_on_seeded_random_cells() {
             |_| preset.build_model(),
             |sm, warp| spec.program(sm, warp, ops),
         );
-        sys.set_active_set(true);
         let mut drained = false;
         for cycle in 0..200_000u64 {
             sys.debug_step();

@@ -1,24 +1,28 @@
-//! Engine-equivalence gate for event-driven cycle skipping.
+//! Engine-equivalence gate for the event engine.
 //!
-//! The skip engine (`GpuSystem::run` fast-forwarding over dead cycles) and
-//! the plain tick engine must be *observationally identical*: every field
-//! of [`fuse::gpu::stats::SimStats`] — cycles, stall classifications,
+//! The event ("skip") engine — active-set dispatch plus fast-forwarding
+//! over dead cycles — and the always-tick reference ("tick") engine must
+//! be *observationally identical*: every field of
+//! [`fuse::gpu::stats::SimStats`] — cycles, stall classifications,
 //! interconnect counters, cache and DRAM statistics — must match bitwise
-//! for every Table II workload on both the SRAM baseline and the full
-//! Dy-FUSE configuration. Any divergence means a component's
-//! `next_event` under-reported an event or `advance_idle` mis-credited a
-//! counter, so this test is the contract the skip engine is held to.
+//! for every Table II workload on every Fig. 13 configuration, on the
+//! smoke machine and on the 15-SM machine. Any divergence means a
+//! component's `next_event` under-reported an event, a wake was
+//! registered late or `advance_idle` mis-credited a counter, so this
+//! test is the contract the event engine is held to.
 //!
-//! A second axis pins the same grid against *recorded* digests
-//! ([`SEED_DIGESTS`]), captured on the engine that still used the
-//! standard library's SipHash maps. The hot maps have since moved to the
-//! in-repo FxHash tables (`fuse_cache::hash`), which is only legal
-//! because no stats-affecting path iterates a map in bucket order — the
-//! digest comparison proves that audit held, and holds future hasher or
-//! container swaps to the same standard.
+//! A second axis pins every workload × {L1-SRAM, Dy-FUSE} on both
+//! engines against *recorded* digests ([`SEED_DIGESTS`]), captured on
+//! the engine that still used the standard library's SipHash maps. The
+//! hot maps have since moved to the in-repo FxHash tables
+//! (`fuse_cache::hash`), which is only legal because no stats-affecting
+//! path iterates a map in bucket order — the digest comparison proves
+//! that audit held, and holds future hasher or container swaps to the
+//! same standard.
 
 use fuse::core::config::L1Preset;
 use fuse::runner::{run_workload, RunConfig};
+use fuse::workloads::spec::WorkloadSpec;
 use fuse::workloads::{all_workloads, by_name};
 
 fn smoke(skip: bool) -> RunConfig {
@@ -28,27 +32,40 @@ fn smoke(skip: bool) -> RunConfig {
     }
 }
 
+/// Runs `spec` on `preset` under both engines and checks the statistics
+/// agree bitwise and only the event engine fast-forwards. Returns the
+/// event engine's skipped cycles.
+fn assert_engines_agree(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> u64 {
+    let fast = run_workload(spec, preset, rc);
+    let slow = run_workload(
+        spec,
+        preset,
+        &RunConfig {
+            skip: false,
+            ..rc.clone()
+        },
+    );
+    assert_eq!(
+        fast.sim,
+        slow.sim,
+        "stats diverged on {} / {}",
+        spec.name,
+        preset.name()
+    );
+    assert_eq!(
+        slow.skipped_cycles, 0,
+        "tick engine must never fast-forward"
+    );
+    fast.skipped_cycles
+}
+
 #[test]
 fn skip_and_tick_engines_agree_bitwise_on_every_workload() {
-    let fast_rc = smoke(true);
-    let slow_rc = smoke(false);
+    let rc = smoke(true);
     let mut total_skipped = 0u64;
     for spec in all_workloads() {
-        for preset in [L1Preset::L1Sram, L1Preset::DyFuse] {
-            let fast = run_workload(&spec, preset, &fast_rc);
-            let slow = run_workload(&spec, preset, &slow_rc);
-            assert_eq!(
-                fast.sim,
-                slow.sim,
-                "stats diverged on {} / {}",
-                spec.name,
-                preset.name()
-            );
-            assert_eq!(
-                slow.skipped_cycles, 0,
-                "tick engine must never fast-forward"
-            );
-            total_skipped += fast.skipped_cycles;
+        for preset in L1Preset::FIG13 {
+            total_skipped += assert_engines_agree(&spec, preset, &rc);
         }
     }
     assert!(
@@ -56,6 +73,22 @@ fn skip_and_tick_engines_agree_bitwise_on_every_workload() {
         "the grid must contain at least one skippable span, or the skip \
          engine is a no-op and this test proves nothing"
     );
+}
+
+/// The 15-SM machine that produces the paper's Fig. 13 numbers (the
+/// smoke machine has 2 SMs), at a tenth of the default budget.
+#[test]
+fn skip_and_tick_engines_agree_on_the_full_machine() {
+    let rc = RunConfig {
+        ops_scale: 0.1,
+        ..RunConfig::standard()
+    };
+    for workload in ["ATAX", "GEMM"] {
+        let spec = by_name(workload).expect("Table II workload exists");
+        for preset in [L1Preset::L1Sram, L1Preset::DyFuse] {
+            assert_engines_agree(&spec, preset, &rc);
+        }
+    }
 }
 
 /// FNV-1a over the `Debug` rendering of [`fuse::gpu::stats::SimStats`] —
@@ -177,57 +210,15 @@ fn profiling_preserves_digests_and_the_series_is_engine_independent() {
     }
 }
 
-/// Fourth axis: active-set tick scheduling. Both scheduler modes — the
-/// wake-wheel engine (the default) and always-tick (`--no-active-set`) —
-/// must reproduce the recorded digests bit for bit on the whole grid,
-/// and the active-set mode must actually elide component dispatches
-/// somewhere (otherwise the wheel is dead weight and this axis proves
-/// nothing). See DESIGN.md §3i for the conservativeness argument.
+/// Clearing `active_set` alone, with skipping left on, must select the
+/// same always-tick reference as clearing `skip`: every cell reproduces
+/// its recorded digest and never fast-forwards.
 #[test]
 fn active_set_toggle_matches_the_recorded_digests() {
-    let mut elided = 0u64;
-    for active in [true, false] {
-        let rc = RunConfig {
-            active_set: active,
-            ..smoke(true)
-        };
-        for &(workload, config, want) in SEED_DIGESTS {
-            let spec = by_name(workload).expect("Table II workload exists");
-            let preset = match config {
-                "L1-SRAM" => L1Preset::L1Sram,
-                "Dy-FUSE" => L1Preset::DyFuse,
-                other => panic!("unknown preset {other} in the digest table"),
-            };
-            let r = run_workload(&spec, preset, &rc);
-            assert_eq!(
-                stats_digest(&r.sim),
-                want,
-                "{workload} / {config}: active_set={active} diverged from \
-                 the recorded digest"
-            );
-            if active {
-                assert!(
-                    r.component_ticks <= r.component_opportunities,
-                    "{workload} / {config}: dispatch accounting overflow"
-                );
-                elided += r.component_opportunities - r.component_ticks;
-            }
-        }
-    }
-    assert!(
-        elided > 0,
-        "active-set scheduling elided no dispatches anywhere on the grid"
-    );
-}
-
-#[test]
-fn stats_match_the_recorded_std_hasher_digests() {
-    assert_eq!(
-        SEED_DIGESTS.len(),
-        all_workloads().len() * 2,
-        "the digest table must cover the whole (workload x preset) grid"
-    );
-    let rc = smoke(true);
+    let rc = RunConfig {
+        active_set: false,
+        ..smoke(true)
+    };
     for &(workload, config, want) in SEED_DIGESTS {
         let spec = by_name(workload).expect("Table II workload exists");
         let preset = match config {
@@ -236,13 +227,61 @@ fn stats_match_the_recorded_std_hasher_digests() {
             other => panic!("unknown preset {other} in the digest table"),
         };
         let r = run_workload(&spec, preset, &rc);
-        let got = stats_digest(&r.sim);
-        println!("    (\"{workload}\", \"{config}\", 0x{got:016x}),");
         assert_eq!(
-            got, want,
-            "{workload} / {config}: statistics diverged from the recorded \
-             SipHash-engine digest — a container or hasher change leaked \
-             into simulated behaviour"
+            stats_digest(&r.sim),
+            want,
+            "{workload} / {config}: active_set=false diverged from the \
+             recorded digest"
+        );
+        assert_eq!(
+            r.skipped_cycles, 0,
+            "{workload} / {config}: active_set=false must select the \
+             reference engine, which never fast-forwards"
         );
     }
+}
+
+/// Both engines must reproduce the recorded digests bit for bit on the
+/// whole grid, and the event engine must actually elide component
+/// dispatches somewhere (otherwise active-set dispatch is dead weight).
+/// See DESIGN.md §3i for the conservativeness argument.
+#[test]
+fn stats_match_the_recorded_std_hasher_digests() {
+    assert_eq!(
+        SEED_DIGESTS.len(),
+        all_workloads().len() * 2,
+        "the digest table must cover the whole (workload x preset) grid"
+    );
+    let mut elided = 0u64;
+    for skip in [true, false] {
+        let rc = smoke(skip);
+        for &(workload, config, want) in SEED_DIGESTS {
+            let spec = by_name(workload).expect("Table II workload exists");
+            let preset = match config {
+                "L1-SRAM" => L1Preset::L1Sram,
+                "Dy-FUSE" => L1Preset::DyFuse,
+                other => panic!("unknown preset {other} in the digest table"),
+            };
+            let r = run_workload(&spec, preset, &rc);
+            let got = stats_digest(&r.sim);
+            if skip {
+                println!("    (\"{workload}\", \"{config}\", 0x{got:016x}),");
+                assert!(
+                    r.component_ticks <= r.component_opportunities,
+                    "{workload} / {config}: dispatch accounting overflow"
+                );
+                elided += r.component_opportunities - r.component_ticks;
+            }
+            assert_eq!(
+                got, want,
+                "{workload} / {config} (skip={skip}): statistics diverged \
+                 from the recorded SipHash-engine digest — a container or \
+                 hasher change leaked into simulated behaviour"
+            );
+        }
+    }
+    assert!(
+        elided > 0,
+        "the event engine elided no dispatches anywhere on the grid"
+    );
 }
