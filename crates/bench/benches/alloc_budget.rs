@@ -22,9 +22,9 @@ use std::time::Instant;
 use fuse::core::config::L1Preset;
 use fuse::runner::run_workload;
 use fuse::sweep::{SweepCell, SweepReport};
+use fuse::table::{f, Table};
 use fuse_bench::alloc::{self, CountingAlloc};
-use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, record_sweep};
 use fuse_workloads::by_name;
 
 #[global_allocator]

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use fuse::core::config::L1Preset;
 use fuse::sweep::{SweepPlan, SweepReport};
-use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse::table::{f, Table};
+use fuse_bench::{bench_config, record_sweep};
 use fuse_workloads::by_name;
 
 /// Interleaved repetitions per mode always executed.

@@ -113,7 +113,14 @@ pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
         match key {
             "seed" => spec.seed = num(value)?,
             "sms" => spec.sms = count(value)? as usize,
-            "warps" => spec.warps = count(value)? as usize,
+            "warps" => {
+                // Warp indices are u16 throughout the engine.
+                spec.warps = count(value)?
+                    .try_into()
+                    .ok()
+                    .filter(|w| *w <= usize::from(u16::MAX))
+                    .ok_or_else(|| format!("line {}: warps {value} exceeds 65535", ln + 1))?;
+            }
             "ops" => spec.ops = num(value)? as usize,
             "footprint_lines" => spec.footprint_lines = count(value)?,
             "store_pct" => spec.store_pct = pct(value)?,
@@ -208,6 +215,7 @@ mod tests {
         for (key, bad) in [
             ("sms", "0"),
             ("warps", "0"),
+            ("warps", "70000"),
             ("footprint_lines", "0"),
             ("mshr_entries", "0"),
             ("store_pct", "300"),

@@ -2,9 +2,10 @@
 # Tier-1 verification: everything a PR must pass, fully offline.
 #
 #   scripts/verify.sh          # fmt + clippy + rustdoc + build + tests
-#   scripts/verify.sh --quick  # skip fmt/clippy/rustdoc (tier-1 only)
-#   scripts/verify.sh --bench  # (re)emit the fig13-cold/fig13-warm cache
-#                              # rows in BENCH_sweep.json
+#   scripts/verify.sh --quick  # skip fmt/clippy/rustdoc and the paper
+#                              # ledger check (tier-1 only)
+#   scripts/verify.sh --bench  # (re)emit the fig13, fig13-cold and
+#                              # fig13-warm rows in BENCH_sweep.json
 #
 # The workspace has no external dependencies (PRNG, timing harness and
 # property generators are all in-repo), so every step below works without
@@ -29,6 +30,11 @@ if $bench; then
     # asserts the warm pass is >=20x faster and byte-identical.
     echo "==> serve_load: cold/warm/incremental cache rows + service load test"
     cargo bench -p fuse-bench --bench serve_load
+    # The full 147-cell Fig. 13 grid on the sweep pool: the fig13 row.
+    echo "==> fig13 sweep row"
+    cargo build --release
+    ./target/release/fusesim sweep --workloads all --configs fig13 --scale 0.35 \
+        --name fig13 --json BENCH_sweep.json
     exit 0
 fi
 
@@ -77,6 +83,33 @@ cache_dir=$(mktemp -d /tmp/fuse-verify-cache.XXXXXX)
 diff /tmp/fuse-verify-cold.json /tmp/fuse-verify-warm.json
 ./target/release/fusesim cache verify --cache-dir "$cache_dir" >/dev/null
 rm -rf "$cache_dir"
+
+# Paper ledger: regenerate every artefact cold into a fresh cache, then
+# warm. Both runs must print exactly the block EXPERIMENTS.md commits;
+# the cold run must simulate each of its 441 distinct cells once and the
+# warm run none. The marker count check keeps two empty extracts from
+# diffing clean.
+if ! $quick; then
+    echo "==> fusesim paper (cold, then warm: the ledger block equals EXPERIMENTS.md)"
+    begin='<!-- fusesim paper: begin -->'
+    end='<!-- fusesim paper: end -->'
+    if [ "$(grep -cxF "$begin" EXPERIMENTS.md)" != 1 ] || [ "$(grep -cxF "$end" EXPERIMENTS.md)" != 1 ]; then
+        echo "EXPERIMENTS.md must hold exactly one '$begin' and one '$end' line"
+        exit 1
+    fi
+    block() { awk -v b="$begin" -v e="$end" '$0 == b { p = 1 } p { print } $0 == e { p = 0 }' "$1"; }
+    ledger_dir=$(mktemp -d /tmp/fuse-verify-ledger.XXXXXX)
+    block EXPERIMENTS.md >"$ledger_dir/committed.md"
+    for pass in cold warm; do
+        ./target/release/fusesim paper --scale 0.35 --cache-dir "$ledger_dir/cache" \
+            >"$ledger_dir/$pass.txt"
+        block "$ledger_dir/$pass.txt" >"$ledger_dir/$pass.md"
+        diff "$ledger_dir/committed.md" "$ledger_dir/$pass.md"
+    done
+    grep -F "paper: 441 cell(s) simulated" "$ledger_dir/cold.txt"
+    grep -F "paper: 0 cell(s) simulated" "$ledger_dir/warm.txt"
+    rm -rf "$ledger_dir"
+fi
 
 # Service smoke: start `fusesim serve`, race two overlapping batches at
 # it, then shut it down cleanly. Coalescing and the bounded queue are

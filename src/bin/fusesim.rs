@@ -8,6 +8,7 @@
 //! $ fusesim run --workload GEMM --config L1-SRAM --volta --scale 2
 //! $ fusesim compare --workload BICG
 //! $ fusesim sweep --workloads ATAX,BICG,GEMM --configs fig13 --json BENCH_sweep.json
+//! $ fusesim paper --scale 0.35
 //! $ fusesim list
 //! ```
 //!
@@ -18,7 +19,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fuse::core::config::L1Preset;
 use fuse::runner::{
@@ -40,6 +41,13 @@ USAGE:
     fusesim run [OPTIONS]                run one (workload, config) pair
     fusesim compare [OPTIONS]            run every L1 configuration on one workload
     fusesim sweep [OPTIONS]              run a (workloads x configs) grid in parallel
+    fusesim paper [OPTIONS]              regenerate every paper figure and table:
+                                         print each artefact's per-workload tables,
+                                         then the graded Markdown ledger that
+                                         EXPERIMENTS.md commits (--scale, --threads,
+                                         --cache-dir, --cache-max-bytes; without
+                                         --cache-dir a temporary store dedupes the
+                                         cells and is removed on exit)
     fusesim check [OPTIONS]              run the event engine and the always-tick
                                          reference engine in lockstep under the
                                          fuse-check reference-model oracle (workload
@@ -71,7 +79,7 @@ OPTIONS:
     --config <NAME>      L1 configuration (default: Dy-FUSE)
     --workloads <LIST>   comma-separated workloads, or `all` (sweep; default all)
     --configs <LIST>     comma-separated configs, `all`, or `fig13` (sweep; default fig13)
-    --threads <N>        sweep worker threads (default: all cores)
+    --threads <N>        sweep/paper worker threads (default: all cores)
     --name <NAME>        sweep entry name used as the BENCH_sweep.json
                          merge key (sweep; default cli-sweep)
     --json <PATH>        append the sweep entry to a BENCH_sweep.json file
@@ -93,7 +101,7 @@ OPTIONS:
     --scale <F>          instruction-budget multiplier (default 1.0)
     --quiet              print only the one-line summary
     --cache-dir <PATH>   content-addressed result cache (run/compare/sweep/
-                         cache/serve): cells whose key is already recorded
+                         paper/cache/serve): cells whose key is already recorded
                          return without simulating; results are bitwise
                          identical to cold runs. Incompatible with the
                          profiler/tracer flags — observed runs are never
@@ -660,6 +668,37 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `fusesim paper` — every artefact's tables, then the ledger block, then
+/// how many cells it simulated.
+fn cmd_paper(args: &Args) -> Result<(), String> {
+    let t0 = Instant::now();
+    // Without --cache-dir, a scratch store dedupes the cells and goes.
+    let scratch = std::env::temp_dir().join(format!("fusesim-paper-{}", std::process::id()));
+    let dir = args
+        .cache_dir
+        .as_deref()
+        .map_or(scratch.as_path(), Path::new);
+    let cache = ResultCache::open(dir, args.cache_max_bytes)
+        .map_err(|e| format!("opening cache {}: {e}", dir.display()))?;
+    let ledger = fuse::paper::run(
+        args.scale,
+        args.threads,
+        &Arc::new(cache),
+        &mut std::io::stdout(),
+    );
+    if args.cache_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+    let ledger = ledger.map_err(|e| format!("writing tables: {e}"))?;
+    println!("\n{}", ledger.block);
+    let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "paper: {} cell(s) simulated in {secs:.1}s",
+        ledger.simulated
+    );
+    Ok(())
+}
+
 /// Differential verification: a lockstep pass over the workload grid,
 /// then seeded fuzzing over adversarial small machines. Any divergence
 /// is minimized with the shrinker, written as a `.repro`, and fails the
@@ -971,6 +1010,7 @@ fn main() -> ExitCode {
         "run" => cmd_run(&args),
         "compare" => cmd_compare(&args),
         "sweep" => cmd_sweep(&args),
+        "paper" => cmd_paper(&args),
         "check" => cmd_check(&args),
         "cache" => cmd_cache(&args),
         "serve" => cmd_serve(&args),

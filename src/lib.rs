@@ -2,8 +2,8 @@
 //! Off-Chip Memory Access Overheads* (Zhang, Jung, Kandemir — HPCA 2019)
 //!
 //! This umbrella crate ties the workspace together and provides the
-//! experiment [`runner`] used by every example, integration test and
-//! figure-regeneration bench:
+//! experiment [`runner`] used by every example, integration test and the
+//! [`paper`] ledger, which regenerates every figure and table:
 //!
 //! * [`mem`] ([`fuse_mem`]) — SRAM/STT-MRAM technology tables, energy and
 //!   area models, DRAM timing;
@@ -52,8 +52,10 @@ pub use fuse_predict as predict;
 pub use fuse_serve as serve;
 pub use fuse_workloads as workloads;
 
+pub mod paper;
 pub mod runner;
 pub mod sweep;
+pub mod table;
 
 pub use runner::{
     geomean, lockstep_workload, preset_by_name, run_l1_config, run_workload, RunConfig, RunResult,

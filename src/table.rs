@@ -1,15 +1,15 @@
-//! Plain-text table printer for the figure harnesses.
+//! Plain-text table printer for the paper ledger and the benches.
 //!
-//! The paper's figures are bar charts; the harnesses print the same data
-//! as aligned text tables (one row per workload, one column per series),
-//! which is what EXPERIMENTS.md records.
+//! The paper's figures are bar charts; [`crate::paper`] prints the same
+//! data as aligned text tables (one row per workload, one column per
+//! series).
 
 /// A simple aligned-column table.
 ///
 /// # Examples
 ///
 /// ```
-/// use fuse_bench::table::Table;
+/// use fuse::table::Table;
 /// let mut t = Table::new("Fig. X — demo");
 /// t.headers(&["workload", "IPC"]);
 /// t.row(vec!["ATAX".into(), "1.23".into()]);

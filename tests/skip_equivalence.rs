@@ -20,6 +20,8 @@
 //! that audit held, and holds future hasher or container swaps to the
 //! same standard.
 
+use std::collections::HashSet;
+
 use fuse::core::config::L1Preset;
 use fuse::runner::{run_workload, RunConfig};
 use fuse::workloads::spec::WorkloadSpec;
@@ -91,17 +93,20 @@ fn skip_and_tick_engines_agree_on_the_full_machine() {
     }
 }
 
-/// FNV-1a over the `Debug` rendering of [`fuse::gpu::stats::SimStats`] —
-/// every counter participates, so two equal digests mean bitwise-equal
-/// statistics.
-fn stats_digest(sim: &fuse::gpu::stats::SimStats) -> u64 {
-    let s = format!("{sim:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
+/// One FNV-1a pass over `text` from `h`.
+fn fnv1a(mut h: u64, text: &str) -> u64 {
+    for b in text.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over the `Debug` rendering of [`fuse::gpu::stats::SimStats`] —
+/// every counter participates, so two equal digests mean bitwise-equal
+/// statistics.
+fn stats_digest(sim: &fuse::gpu::stats::SimStats) -> u64 {
+    fnv1a(0xcbf2_9ce4_8422_2325, &format!("{sim:?}"))
 }
 
 /// `(workload, preset, digest)` for every Table II workload under
@@ -153,6 +158,17 @@ const SEED_DIGESTS: &[(&str, &str, u64)] = &[
     ("histo", "L1-SRAM", 0x1af3184901ee39c7),
     ("histo", "Dy-FUSE", 0xd31ff5fc57cc1b24),
 ];
+
+/// `(ENGINE_VERSION, outcome digest)`, oldest first. The digest is
+/// FNV-1a over the `Debug` of everything a cached cell record serves —
+/// `sim`, `metrics` and `energy` — for every [`SEED_DIGESTS`] cell on
+/// the event engine. [`SEED_DIGESTS`] covers `SimStats` alone, while the
+/// paper ledger's energy, stall and predictor figures read the rest from
+/// persisted records, which every cache key ties to
+/// [`fuse::serve::ENGINE_VERSION`]. A change that moves any of it must
+/// bump the version and append a pair here, or stores filled before the
+/// change would serve stale results as hits.
+const OUTCOME_DIGESTS: &[(&str, u64)] = &[("fuse-engine-v7", 0x2387_5129_8264_603f)];
 
 /// Third axis: the observability layer must be a pure observer. With the
 /// cycle-attribution profiler enabled on every cell of the grid, the
@@ -244,7 +260,8 @@ fn active_set_toggle_matches_the_recorded_digests() {
 /// Both engines must reproduce the recorded digests bit for bit on the
 /// whole grid, and the event engine must actually elide component
 /// dispatches somewhere (otherwise active-set dispatch is dead weight).
-/// See DESIGN.md §3i for the conservativeness argument.
+/// See DESIGN.md §3i for the conservativeness argument. The event
+/// engine's cells also pin [`OUTCOME_DIGESTS`].
 #[test]
 fn stats_match_the_recorded_std_hasher_digests() {
     assert_eq!(
@@ -252,7 +269,7 @@ fn stats_match_the_recorded_std_hasher_digests() {
         all_workloads().len() * 2,
         "the digest table must cover the whole (workload x preset) grid"
     );
-    let mut elided = 0u64;
+    let (mut elided, mut outcome) = (0u64, 0xcbf2_9ce4_8422_2325u64);
     for skip in [true, false] {
         let rc = smoke(skip);
         for &(workload, config, want) in SEED_DIGESTS {
@@ -271,6 +288,10 @@ fn stats_match_the_recorded_std_hasher_digests() {
                     "{workload} / {config}: dispatch accounting overflow"
                 );
                 elided += r.component_opportunities - r.component_ticks;
+                outcome = fnv1a(
+                    outcome,
+                    &format!("{:?}{:?}{:?}", r.sim, r.metrics, r.energy),
+                );
             }
             assert_eq!(
                 got, want,
@@ -283,5 +304,17 @@ fn stats_match_the_recorded_std_hasher_digests() {
     assert!(
         elided > 0,
         "the event engine elided no dispatches anywhere on the grid"
+    );
+    let versions: HashSet<&str> = OUTCOME_DIGESTS.iter().map(|(v, _)| *v).collect();
+    assert_eq!(
+        versions.len(),
+        OUTCOME_DIGESTS.len(),
+        "one digest per version"
+    );
+    assert_eq!(
+        OUTCOME_DIGESTS.last().copied(),
+        Some((fuse::serve::ENGINE_VERSION, outcome)),
+        "cached outcomes changed: bump ENGINE_VERSION (crates/serve/src/key.rs) \
+         and append (\"<new version>\", 0x{outcome:016x}) to OUTCOME_DIGESTS"
     );
 }
