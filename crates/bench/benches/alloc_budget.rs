@@ -12,7 +12,7 @@
 //! 2. **Whole-run trajectory.** A small (workload × preset) grid run
 //!    end to end, counting every allocation from `GpuSystem`
 //!    construction to drain, normalised per simulated kilocycle. These
-//!    cells land in `BENCH_sweep.json` (schema `fuse-sweep-v4`, field
+//!    cells land in `BENCH_sweep.json` (schema `fuse-sweep-v7`, field
 //!    `allocs_per_kcycle`) so the setup overhead is tracked across PRs
 //!    too — it should scale with machine size, never with cycles.
 //!    `--check` gates without re-recording the row.

@@ -8,9 +8,9 @@ use fuse::core::config::L1Preset;
 use fuse::runner::{run_workload, RunConfig};
 use fuse_bench::timing::{black_box, Harness};
 use fuse_cache::approx_assoc::{ApproxAssocStore, ApproxConfig};
-use fuse_cache::bloom::CountingBloomFilter;
 use fuse_cache::line::LineAddr;
 use fuse_cache::mshr::{FillDest, Mshr, MshrTarget};
+use fuse_cache::nvm_cbf::NvmCbfArray;
 use fuse_cache::replacement::PolicyKind;
 use fuse_cache::tag_array::TagArray;
 use fuse_mem::dram::{DramChannel, DramRequest, DramTiming};
@@ -29,15 +29,21 @@ fn bench_tag_array(h: &Harness) {
     });
 }
 
+/// The approximate bank's whole-array CBF test on Table I's geometry
+/// (128 filters × 128 slots, 3 hashes), every partition holding its 4
+/// lines, as in a warm Dy-FUSE STT bank.
 fn bench_cbf(h: &Harness) {
-    let mut f = CountingBloomFilter::new(128, 3, 2);
-    for i in 0..4 {
-        f.increment(LineAddr(i * 97));
+    let c = ApproxConfig::default();
+    let mut cbfs = NvmCbfArray::new(c.num_cbfs, c.cbf_slots, c.cbf_hashes, c.cbf_counter_bits);
+    for i in 0..c.lines as u64 {
+        cbfs.increment(i as usize / c.lines_per_partition(), LineAddr(i * 3));
     }
+    let mut positives = Vec::with_capacity(c.num_cbfs);
     let mut i = 0u64;
-    h.run("cbf_test_3hash_128slots", || {
-        i += 1;
-        black_box(f.test(LineAddr(i & 0x3FF)));
+    h.run("nvm_cbf_test_all_128x128_3hash", || {
+        i = i.wrapping_add(7);
+        cbfs.test_all_into(black_box(LineAddr(i & 0x7FF)), &mut positives);
+        black_box(positives.len());
     });
 }
 

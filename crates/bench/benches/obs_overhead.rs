@@ -15,7 +15,7 @@
 //! `--check` it exits non-zero on a violation (the CI observability
 //! gate runs this). Outside `--check`, the profiled report is also
 //! recorded to `BENCH_sweep.json` (entry `obs-overhead`, schema
-//! `fuse-sweep-v4`) so per-cell window counts and the stall decomposition
+//! `fuse-sweep-v7`) so per-cell window counts and the stall decomposition
 //! are tracked across PRs.
 
 use std::time::{Duration, Instant};

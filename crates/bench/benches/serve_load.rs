@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fuse::core::config::L1Preset;
-use fuse::runner::{preset_cell_key, RunConfig, ServeBackend};
+use fuse::runner::{cell_key, RunConfig, ServeBackend};
 use fuse::serve::proto::{CellReply, CellSpec};
 use fuse::serve::{
     client, ClientConfig, Listener, ResultCache, ServeOptions, Server, ServerConfig,
@@ -252,7 +252,8 @@ fn main() {
     );
 
     // Invalidate one cell; only it may re-simulate.
-    let victim = preset_cell_key(&by_name("ATAX").expect("ATAX"), L1Preset::DyFuse, &rc);
+    let dy = L1Preset::DyFuse.l1();
+    let victim = cell_key(&by_name("ATAX").expect("ATAX"), dy.as_ref(), &rc);
     assert!(open().remove(&victim.hex), "victim cell was recorded");
     let (incr, incr_t) = timed(grid("fig13-incremental", &rc).cache(open()));
     assert_eq!(incr.cache_hits, Some(41));

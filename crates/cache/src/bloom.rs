@@ -1,15 +1,15 @@
-//! Bloom filters and counting Bloom filters (§IV-C, Fig. 12).
+//! Bloom-filter key derivation (§IV-C, Fig. 12).
 //!
-//! The counting variant supports `increment` (insert), `decrement` (remove)
-//! and `test`; FUSE instantiates many small CBFs — one per tag-array
-//! partition — to narrow the fully-associative tag search down to a few
-//! candidate partitions. Keys are derived by double hashing so any number
-//! of hash functions can be configured (Fig. 20a sweeps 1–5).
+//! FUSE instantiates many small counting Bloom filters — one per tag-array
+//! partition, held in [`crate::nvm_cbf::NvmCbfArray`] — to narrow the
+//! fully-associative tag search down to a few candidate partitions. Keys
+//! are derived by double hashing so any number of hash functions can be
+//! configured (Fig. 20a sweeps 1–5).
 
 use crate::line::LineAddr;
 
 /// Upper bound on hash functions for the stack-allocated key buffer
-/// ([`CountingBloomFilter::keys_into`]). The paper sweeps 1–5 (Fig. 20a).
+/// ([`line_keys`]). The paper sweeps 1–5 (Fig. 20a).
 pub const MAX_HASHES: usize = 8;
 
 fn hash2(line: LineAddr) -> (u64, u64) {
@@ -24,9 +24,8 @@ fn hash2(line: LineAddr) -> (u64, u64) {
 
 /// Writes the double-hashed key sequence for `line` over a filter of
 /// `slots` counters and `hashes` hash functions into `buf`, returning the
-/// filled prefix. This is *the* key derivation for every Bloom variant in
-/// this crate: filters of equal geometry always agree on keys, which lets
-/// same-geometry filter arrays hash once per probe.
+/// filled prefix. Filters of equal geometry always agree on keys, which
+/// lets a same-geometry filter array hash once per probe.
 ///
 /// # Panics
 ///
@@ -46,263 +45,4 @@ pub fn line_keys(
         *slot = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % m) as usize;
     }
     &buf[..n]
-}
-
-/// Plain (non-counting) Bloom filter over line addresses.
-///
-/// # Examples
-///
-/// ```
-/// use fuse_cache::bloom::BloomFilter;
-/// use fuse_cache::line::LineAddr;
-/// let mut f = BloomFilter::new(64, 3);
-/// f.insert(LineAddr(42));
-/// assert!(f.test(LineAddr(42)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BloomFilter {
-    bits: Vec<bool>,
-    hashes: u32,
-}
-
-impl BloomFilter {
-    /// Creates a filter with `slots` bits and `hashes` hash functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` or `hashes` is zero.
-    pub fn new(slots: usize, hashes: u32) -> Self {
-        assert!(slots > 0 && hashes > 0, "filter geometry must be non-zero");
-        BloomFilter {
-            bits: vec![false; slots],
-            hashes,
-        }
-    }
-
-    fn keys(&self, line: LineAddr) -> impl Iterator<Item = usize> + '_ {
-        let (h1, h2) = hash2(line);
-        let m = self.bits.len() as u64;
-        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
-    }
-
-    /// Inserts a member.
-    pub fn insert(&mut self, line: LineAddr) {
-        let (h1, h2) = hash2(line);
-        let m = self.bits.len() as u64;
-        for i in 0..self.hashes as u64 {
-            self.bits[(h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize] = true;
-        }
-    }
-
-    /// Membership test: never false-negative, possibly false-positive.
-    pub fn test(&self, line: LineAddr) -> bool {
-        self.keys(line).all(|k| self.bits[k])
-    }
-}
-
-/// Counting Bloom filter with saturating counters.
-///
-/// Counter width is configurable; the paper's NVM-CBF uses 2-bit counters
-/// (saturation value 3). Saturated counters are never decremented, so the
-/// "no false negatives" property survives saturation at the cost of extra
-/// false positives.
-///
-/// # Examples
-///
-/// ```
-/// use fuse_cache::bloom::CountingBloomFilter;
-/// use fuse_cache::line::LineAddr;
-/// let mut f = CountingBloomFilter::new(16, 3, 2);
-/// f.increment(LineAddr(7));
-/// assert!(f.test(LineAddr(7)));
-/// f.decrement(LineAddr(7));
-/// // 7 was the only member; the filter is now empty for most queries.
-/// ```
-#[derive(Debug, Clone)]
-pub struct CountingBloomFilter {
-    counters: Vec<u8>,
-    hashes: u32,
-    max: u8,
-    saturated: Vec<bool>,
-}
-
-impl CountingBloomFilter {
-    /// Creates a filter with `slots` counters of `counter_bits` bits each
-    /// and `hashes` hash functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero or `counter_bits > 7`.
-    pub fn new(slots: usize, hashes: u32, counter_bits: u32) -> Self {
-        assert!(slots > 0 && hashes > 0, "filter geometry must be non-zero");
-        assert!(
-            (1..=7).contains(&counter_bits),
-            "counter width must be 1..=7 bits"
-        );
-        CountingBloomFilter {
-            counters: vec![0; slots],
-            hashes,
-            max: ((1u16 << counter_bits) - 1) as u8,
-            saturated: vec![false; slots],
-        }
-    }
-
-    /// Counter slots.
-    pub fn slots(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Configured number of hash functions.
-    pub fn hashes(&self) -> u32 {
-        self.hashes
-    }
-
-    fn keys(&self, line: LineAddr) -> impl Iterator<Item = usize> + '_ {
-        let (h1, h2) = hash2(line);
-        let m = self.counters.len() as u64;
-        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
-    }
-
-    /// Writes this filter's counter indices for `line` into `buf` and
-    /// returns the filled prefix (see [`line_keys`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the filter has more than [`MAX_HASHES`] hash functions.
-    pub fn keys_into<'a>(&self, line: LineAddr, buf: &'a mut [usize; MAX_HASHES]) -> &'a [usize] {
-        line_keys(line, self.counters.len(), self.hashes, buf)
-    }
-
-    /// Membership test against precomputed keys (see
-    /// [`CountingBloomFilter::keys_into`]). Equivalent to
-    /// [`CountingBloomFilter::test`] when the keys came from a filter of
-    /// identical geometry.
-    pub fn test_keys(&self, keys: &[usize]) -> bool {
-        keys.iter().all(|&k| self.counters[k] > 0)
-    }
-
-    /// Records an insertion into the guarded set.
-    pub fn increment(&mut self, line: LineAddr) {
-        let (h1, h2) = hash2(line);
-        let m = self.counters.len() as u64;
-        for i in 0..self.hashes as u64 {
-            let k = (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize;
-            if self.counters[k] == self.max {
-                // Once saturated, the counter can no longer track removals;
-                // it must stick at max to preserve no-false-negatives.
-                self.saturated[k] = true;
-            } else {
-                self.counters[k] += 1;
-            }
-        }
-    }
-
-    /// Records a removal from the guarded set.
-    ///
-    /// Decrementing a member that was never inserted is a caller bug; it is
-    /// detected (counter at zero) with a debug assertion.
-    pub fn decrement(&mut self, line: LineAddr) {
-        let (h1, h2) = hash2(line);
-        let m = self.counters.len() as u64;
-        for i in 0..self.hashes as u64 {
-            let k = (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize;
-            if self.saturated[k] {
-                continue; // sticky: cannot tell how many members remain
-            }
-            debug_assert!(self.counters[k] > 0, "decrement of non-member {line}");
-            self.counters[k] = self.counters[k].saturating_sub(1);
-        }
-    }
-
-    /// Membership test ("test" operation of Fig. 12c): `false` is
-    /// definitive, `true` may be a false positive.
-    pub fn test(&self, line: LineAddr) -> bool {
-        self.keys(line).all(|k| self.counters[k] > 0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn no_false_negatives() {
-        let mut f = CountingBloomFilter::new(64, 3, 2);
-        for i in 0..20 {
-            f.increment(LineAddr(i * 17));
-        }
-        for i in 0..20 {
-            assert!(f.test(LineAddr(i * 17)), "member {} lost", i * 17);
-        }
-    }
-
-    #[test]
-    fn remove_restores_emptiness() {
-        let mut f = CountingBloomFilter::new(64, 3, 2);
-        f.increment(LineAddr(5));
-        f.decrement(LineAddr(5));
-        assert!(!f.test(LineAddr(5)));
-    }
-
-    #[test]
-    fn saturation_is_sticky_and_safe() {
-        let mut f = CountingBloomFilter::new(4, 1, 2);
-        // Drive one counter past its 2-bit max.
-        for _ in 0..10 {
-            f.increment(LineAddr(1));
-        }
-        for _ in 0..10 {
-            f.decrement(LineAddr(1));
-        }
-        // Sticky saturation: membership may be over-reported but a real
-        // member inserted afterwards must still test positive.
-        f.increment(LineAddr(1));
-        assert!(f.test(LineAddr(1)));
-    }
-
-    #[test]
-    fn more_hashes_reduce_false_positives() {
-        let members: Vec<LineAddr> = (0..8u64).map(|i| LineAddr(i * 131)).collect();
-        let fp_rate = |hashes: u32| {
-            let mut f = CountingBloomFilter::new(128, hashes, 2);
-            for &m in &members {
-                f.increment(m);
-            }
-            let probes = 4000u64;
-            let fp = (0..probes)
-                .map(|i| LineAddr(1_000_000 + i))
-                .filter(|&l| f.test(l))
-                .count();
-            fp as f64 / probes as f64
-        };
-        let one = fp_rate(1);
-        let three = fp_rate(3);
-        assert!(
-            three < one,
-            "3 hash functions ({three}) should beat 1 ({one}) at this load factor"
-        );
-    }
-
-    #[test]
-    fn plain_filter_matches_counting_semantics() {
-        let mut b = BloomFilter::new(64, 3);
-        let mut c = CountingBloomFilter::new(64, 3, 4);
-        for i in 0..10 {
-            b.insert(LineAddr(i * 3));
-            c.increment(LineAddr(i * 3));
-        }
-        for i in 0..200 {
-            assert_eq!(
-                b.test(LineAddr(i)),
-                c.test(LineAddr(i)),
-                "divergence at {i}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "counter width")]
-    fn wide_counters_rejected() {
-        let _ = CountingBloomFilter::new(16, 3, 8);
-    }
 }

@@ -9,8 +9,8 @@
 //! * [`mshr`] — miss-status holding registers with merge and the paper's
 //!   extended *destination-bits* field (§IV-A) that routes fills to the
 //!   SRAM or STT-MRAM bank.
-//! * [`bloom`] / [`nvm_cbf`] — counting Bloom filters and the STT-MRAM
-//!   resident CBF array of §IV-C.
+//! * [`bloom`] / [`nvm_cbf`] — Bloom-filter key derivation and the
+//!   STT-MRAM resident counting-Bloom-filter array of §IV-C.
 //! * [`approx_assoc`] — the associativity-approximation logic of §III-B:
 //!   a fully-associative store searched through per-partition CBFs and a
 //!   small number of serialized comparators.
@@ -44,7 +44,6 @@ pub mod tag_array;
 pub mod tag_queue;
 
 pub use approx_assoc::{ApproxAssocStore, ApproxConfig, ApproxProbe};
-pub use bloom::{BloomFilter, CountingBloomFilter};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use line::{LineAddr, LINE_BYTES, LINE_SHIFT};
 pub use mshr::{Mshr, MshrOutcome, MshrTarget};

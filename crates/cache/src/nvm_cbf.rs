@@ -7,9 +7,9 @@
 //! cache cycle); increments/decrements ride on the Y-port and overlap the
 //! corresponding data-array write.
 //!
-//! This module wraps one
-//! [`CountingBloomFilter`](crate::bloom::CountingBloomFilter) per tag-array
-//! partition and tracks the event counts the energy model and Fig. 20 need.
+//! This module holds one counting Bloom filter per tag-array partition,
+//! keyed by [`line_keys`], with saturating counters, and tracks the event
+//! counts the energy model and Fig. 20 need.
 
 use crate::bloom::{line_keys, MAX_HASHES};
 use crate::line::LineAddr;
@@ -214,6 +214,47 @@ mod tests {
         assert_eq!(s.decrements, 1);
         assert_eq!(s.false_positives, 1);
         assert!(s.false_positive_rate(2) > 0.0);
+    }
+
+    #[test]
+    fn saturation_is_sticky_and_safe() {
+        let mut a = NvmCbfArray::new(1, 4, 1, 2);
+        // Drive one counter past its 2-bit max, then remove as often.
+        for _ in 0..10 {
+            a.increment(0, LineAddr(1));
+        }
+        for _ in 0..9 {
+            a.decrement(0, LineAddr(1));
+        }
+        // The saturated counter cannot tell how many members remain, so
+        // it sticks: membership may be over-reported, never lost.
+        assert_eq!(a.test_all(LineAddr(1)), vec![0]);
+    }
+
+    #[test]
+    fn more_hashes_reduce_false_positives() {
+        let fp_rate = |hashes: u32| {
+            let mut a = NvmCbfArray::new(1, 128, hashes, 2);
+            for i in 0..8u64 {
+                a.increment(0, LineAddr(i * 131));
+            }
+            let probes = 4000u64;
+            let fp = (0..probes)
+                .filter(|i| !a.test_all(LineAddr(1_000_000 + i)).is_empty())
+                .count();
+            fp as f64 / probes as f64
+        };
+        let (one, three) = (fp_rate(1), fp_rate(3));
+        assert!(
+            three < one,
+            "3 hash functions ({three}) should beat 1 ({one}) at this load factor"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "counter width")]
+    fn wide_counters_rejected() {
+        let _ = NvmCbfArray::new(1, 16, 3, 8);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 use proptest::prelude::*;
 
 use fuse_cache::approx_assoc::{ApproxAssocStore, ApproxConfig};
-use fuse_cache::bloom::CountingBloomFilter;
 use fuse_cache::line::LineAddr;
 use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
+use fuse_cache::nvm_cbf::NvmCbfArray;
 use fuse_cache::replacement::PolicyKind;
 use fuse_cache::swap_buffer::{SwapBuffer, SwapEntry};
 use fuse_cache::tag_array::TagArray;
@@ -39,24 +39,25 @@ proptest! {
         hashes in 1u32..5,
         slots in 16usize..256,
     ) {
-        let mut f = CountingBloomFilter::new(slots, hashes, 2);
+        // Filter 1 stays empty, so a member's test names filter 0 only.
+        let mut f = NvmCbfArray::new(2, slots, hashes, 2);
         for &m in &members {
-            f.increment(LineAddr(m));
+            f.increment(0, LineAddr(m));
         }
         for &m in &members {
-            prop_assert!(f.test(LineAddr(m)), "member {m} reported absent");
+            prop_assert!(f.test_all(LineAddr(m)) == [0], "member {m} reported absent");
         }
         // Removing a member never breaks the remaining members.
         let mut iter = members.iter();
         if let Some(&gone) = iter.next() {
-            f.decrement(LineAddr(gone));
+            f.decrement(0, LineAddr(gone));
             for &m in iter {
-                prop_assert!(f.test(LineAddr(m)));
+                prop_assert!(f.test_all(LineAddr(m)) == [0]);
             }
         }
         // Probes only exercise the no-panic path (false positives allowed).
         for &p in &probes {
-            let _ = f.test(LineAddr(p));
+            let _ = f.test_all(LineAddr(p));
         }
     }
 

@@ -7,10 +7,9 @@
 //! reproduces from its [`FuzzSpec`] alone — which is what the shrinker
 //! minimizes and the `.repro` files under `tests/repros/` pin.
 
-use fuse_core::config::L1Preset;
-use fuse_core::controller::FuseL1;
+use fuse_core::config::{build_l1, L1Config, L1Preset};
 use fuse_gpu::config::GpuConfig;
-use fuse_gpu::l1d::{IdealL1, L1dModel};
+use fuse_gpu::l1d::L1dModel;
 use fuse_gpu::system::GpuSystem;
 use fuse_gpu::warp::{MemOp, StreamProgram, WarpOp, WarpProgram};
 use fuse_mem::dram::DramTiming;
@@ -110,14 +109,12 @@ impl FuzzSpec {
     }
 
     fn build_l1(&self) -> Box<dyn L1dModel> {
-        match self.preset {
-            L1Preset::Oracle => Box::new(IdealL1::new()),
-            preset => {
-                let mut cfg = preset.config();
-                cfg.mshr_entries = self.mshr_entries;
-                Box::new(FuseL1::new(cfg))
-            }
-        }
+        let l1 = self.preset.l1().map(|cfg| L1Config {
+            mshr_entries: self.mshr_entries,
+            ..cfg
+        });
+        let (model, _) = build_l1(l1.as_ref());
+        model()
     }
 
     /// Generates warp `(sm, warp)`'s instruction stream — a pure

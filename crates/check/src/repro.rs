@@ -24,9 +24,26 @@
 //! max_cycles = 4000000
 //! ```
 
+use std::ops::RangeInclusive;
+
 use fuse_core::config::L1Preset;
 
 use crate::fuzz::FuzzSpec;
+
+// Bounds on the sizes a replay builds from: it allocates `sms × warps ×
+// ops` warp ops (at most 35 MB per engine), spreads addresses over
+// `footprint_lines` lines of 128 B and may tick to `max_cycles`. Each
+// admits every generated spec (at most 3 SMs, 8 warps, 24 ops, 512
+// lines, 4M cycles) with room to hand-edit, and the shrinker only ever
+// lowers a field.
+const SMS: RangeInclusive<u64> = 1..=8;
+const WARPS: RangeInclusive<u64> = 1..=64;
+const OPS: RangeInclusive<u64> = 0..=256;
+const FOOTPRINT_LINES: RangeInclusive<u64> = 1..=1 << 32;
+const MAX_CYCLES: RangeInclusive<u64> = 0..=16_000_000;
+// A structure of zero entries cannot build (an MSHR) or never drains
+// (an L2 miss table or DRAM queue retries every request forever).
+const CAPACITY: RangeInclusive<u64> = 1..=u64::MAX;
 
 /// Serializes `spec` (with an optional human-readable `reason` header)
 /// into the `.repro` text format.
@@ -65,7 +82,7 @@ pub fn to_text(spec: &FuzzSpec, reason: Option<&str>) -> String {
 /// # Errors
 ///
 /// Returns a message naming the offending line for unknown keys, bad
-/// numbers, zero counts the replay cannot build a machine from,
+/// numbers, sizes outside the bounds a replay can build and drain,
 /// percentages above 100, unknown presets, or missing fields.
 pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
     // Start from a placeholder and require every field to be present.
@@ -98,11 +115,10 @@ pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
             v.parse::<u64>()
                 .map_err(|_| format!("line {}: bad number {v:?} for {key}", ln + 1))
         };
-        let count = |v: &str| -> Result<u64, String> {
-            match num(v)? {
-                0 => Err(format!("line {}: {key} must be at least 1", ln + 1)),
-                n => Ok(n),
-            }
+        let within = |v: &str, range: RangeInclusive<u64>| -> Result<u64, String> {
+            Some(num(v)?)
+                .filter(|n| range.contains(n))
+                .ok_or_else(|| format!("line {}: {key} {v} is outside {range:?}", ln + 1))
         };
         let pct = |v: &str| -> Result<u8, String> {
             u8::try_from(num(v)?)
@@ -112,24 +128,17 @@ pub fn from_text(text: &str) -> Result<FuzzSpec, String> {
         };
         match key {
             "seed" => spec.seed = num(value)?,
-            "sms" => spec.sms = count(value)? as usize,
-            "warps" => {
-                // Warp indices are u16 throughout the engine.
-                spec.warps = count(value)?
-                    .try_into()
-                    .ok()
-                    .filter(|w| *w <= usize::from(u16::MAX))
-                    .ok_or_else(|| format!("line {}: warps {value} exceeds 65535", ln + 1))?;
-            }
-            "ops" => spec.ops = num(value)? as usize,
-            "footprint_lines" => spec.footprint_lines = count(value)?,
+            "sms" => spec.sms = within(value, SMS)? as usize,
+            "warps" => spec.warps = within(value, WARPS)? as usize,
+            "ops" => spec.ops = within(value, OPS)? as usize,
+            "footprint_lines" => spec.footprint_lines = within(value, FOOTPRINT_LINES)?,
             "store_pct" => spec.store_pct = pct(value)?,
             "scatter_pct" => spec.scatter_pct = pct(value)?,
             "compute_pct" => spec.compute_pct = pct(value)?,
-            "mshr_entries" => spec.mshr_entries = count(value)? as usize,
-            "l2_pending" => spec.l2_pending = num(value)? as usize,
-            "dram_queue" => spec.dram_queue = num(value)? as usize,
-            "max_cycles" => spec.max_cycles = num(value)?,
+            "mshr_entries" => spec.mshr_entries = within(value, CAPACITY)? as usize,
+            "l2_pending" => spec.l2_pending = within(value, CAPACITY)? as usize,
+            "dram_queue" => spec.dram_queue = within(value, CAPACITY)? as usize,
+            "max_cycles" => spec.max_cycles = within(value, MAX_CYCLES)?,
             "preset" => {
                 spec.preset = L1Preset::ALL
                     .into_iter()
@@ -214,10 +223,16 @@ mod tests {
         let base = to_text(&FuzzSpec::from_seed(3), None);
         for (key, bad) in [
             ("sms", "0"),
+            ("sms", "1000000000"),
             ("warps", "0"),
             ("warps", "70000"),
+            ("ops", "1000000000"),
             ("footprint_lines", "0"),
+            ("footprint_lines", "18446744073709551615"),
             ("mshr_entries", "0"),
+            ("l2_pending", "0"),
+            ("dram_queue", "0"),
+            ("max_cycles", "18446744073709551615"),
             ("store_pct", "300"),
             ("scatter_pct", "101"),
             ("compute_pct", "256"),

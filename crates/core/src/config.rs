@@ -3,9 +3,12 @@
 
 use fuse_cache::approx_assoc::ApproxConfig;
 use fuse_cache::replacement::PolicyKind;
+use fuse_gpu::l1d::{IdealL1, L1dModel};
 use fuse_mem::tech::BankParams;
 use fuse_predict::dead_write::DeadWriteConfig;
 use fuse_predict::read_level::ReadLevelConfig;
+
+use crate::controller::FuseL1;
 
 /// How the STT-MRAM bank's tags are organised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,13 +221,11 @@ impl L1Preset {
         }
     }
 
-    /// The Table I configuration for this preset.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`L1Preset::Oracle`], which has no finite configuration —
-    /// use [`L1Preset::build_model`] instead.
-    pub fn config(self) -> L1Config {
+    /// The preset's L1 column: its Table I configuration, or `None` for
+    /// [`L1Preset::Oracle`]'s unbounded L1, which has no finite geometry.
+    /// This `Option` is an L1's whole identity wherever a cell is keyed,
+    /// run or stored; [`build_l1`] turns it into a model.
+    pub fn l1(self) -> Option<L1Config> {
         let base = |sram, stt| L1Config {
             sram,
             stt,
@@ -267,7 +268,7 @@ impl L1Preset {
             params: BankParams::stt_64kb(),
             refresh: None,
         };
-        match self {
+        Some(match self {
             L1Preset::L1Sram => base(Some(sram_32k_4w), None),
             L1Preset::FaSram => base(Some(sram_32k_fa), None),
             L1Preset::SttOnly => base(None, Some(stt_128k_4w)),
@@ -289,28 +290,53 @@ impl L1Preset {
                 placement: Placement::Predictor(ReadLevelConfig::default()),
                 ..base(Some(sram_16k_2w), Some(stt_64k_fa))
             },
-            L1Preset::Oracle => panic!("Oracle has no finite configuration"),
-        }
+            L1Preset::Oracle => return None,
+        })
     }
 
-    /// Builds a ready-to-plug L1D model (handles `Oracle` via
-    /// [`fuse_gpu::l1d::IdealL1`]).
-    pub fn build_model(self) -> Box<dyn fuse_gpu::l1d::L1dModel> {
-        match self {
-            L1Preset::Oracle => Box::new(fuse_gpu::l1d::IdealL1::new()),
-            other => Box::new(crate::controller::FuseL1::new(other.config())),
-        }
+    /// The Table I configuration for this preset.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`L1Preset::Oracle`], which has no finite configuration —
+    /// use [`L1Preset::l1`] instead.
+    pub fn config(self) -> L1Config {
+        self.l1().expect("Oracle has no finite configuration")
     }
 
-    /// Bank parameters for the energy model (SRAM, STT), if present.
-    pub fn energy_banks(self) -> (Option<BankParams>, Option<BankParams>) {
-        match self {
-            L1Preset::Oracle => (Some(BankParams::sram_32kb()), None),
-            other => {
-                let cfg = other.config();
-                (cfg.sram.map(|s| s.params), cfg.stt.map(|s| s.params))
-            }
-        }
+    /// Builds a ready-to-plug L1D model ([`build_l1`] of [`L1Preset::l1`]).
+    pub fn build_model(self) -> Box<dyn L1dModel> {
+        let l1 = self.l1();
+        let (model, _) = build_l1(l1.as_ref());
+        model()
+    }
+
+    /// Bank parameters for the energy model ([`build_l1`] of
+    /// [`L1Preset::l1`]).
+    pub fn energy_banks(self) -> EnergyBanks {
+        build_l1(self.l1().as_ref()).1
+    }
+}
+
+/// The (SRAM, STT) bank parameters the energy model prices an L1D by;
+/// `None` for an absent bank.
+pub type EnergyBanks = (Option<BankParams>, Option<BankParams>);
+
+/// Resolves an L1 column for the engine: a factory for each SM's L1D
+/// model, and the (SRAM, STT) banks the energy model prices it by. A
+/// configuration builds a [`FuseL1`]; `None` builds the Oracle's
+/// unbounded [`IdealL1`], priced as the 32 KB SRAM baseline it idealises.
+/// This is the one place the Oracle is told apart from a finite L1.
+pub fn build_l1(l1: Option<&L1Config>) -> (Box<dyn Fn() -> Box<dyn L1dModel> + '_>, EnergyBanks) {
+    match l1 {
+        Some(cfg) => (
+            Box::new(move || Box::new(FuseL1::new(cfg.clone()))),
+            (cfg.sram.map(|s| s.params), cfg.stt.map(|s| s.params)),
+        ),
+        None => (
+            Box::new(|| Box::new(IdealL1::new())),
+            (Some(BankParams::sram_32kb()), None),
+        ),
     }
 }
 
@@ -458,10 +484,8 @@ mod tests {
 
     #[test]
     fn every_finite_preset_validates() {
-        for p in L1Preset::ALL {
-            if p != L1Preset::Oracle {
-                p.config().validate();
-            }
+        for cfg in L1Preset::ALL.into_iter().filter_map(L1Preset::l1) {
+            cfg.validate();
         }
     }
 

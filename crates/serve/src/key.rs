@@ -8,7 +8,9 @@
 //! part of the key: both produce the same [`crate::record::CellRecord`].
 //! Two processes, two machines or two months apart, the same inputs
 //! derive the same key — and perturbing any single field derives a
-//! different one (pinned by this crate's `key_properties` test).
+//! different one (pinned by `fuse::runner`'s
+//! `cell_keys_separate_every_grid_axis` test). A column's label is no
+//! field: one L1 configuration under two names is one cell.
 //!
 //! # Invalidation contract
 //!
@@ -53,34 +55,16 @@ pub const ENGINE_VERSION: &str = "fuse-engine-v7";
 /// feature joins the key by adding one string here.
 pub const ENGINE_FEATURES: &[&str] = &[];
 
-/// The L1D column of a cell, as a sweep plan describes it.
-#[derive(Debug, Clone, Copy)]
-pub enum L1Column<'a> {
-    /// A named preset. `config` is its resolved Table I configuration,
-    /// `None` only for the Oracle preset (which has no finite geometry —
-    /// its behaviour is defined entirely by the engine version).
-    Preset {
-        /// Preset name (e.g. `"Dy-FUSE"`).
-        name: &'a str,
-        /// Resolved configuration; `None` for Oracle.
-        config: Option<&'a L1Config>,
-    },
-    /// An arbitrary configuration column (ratio sweeps, ablations).
-    Custom {
-        /// Column label.
-        name: &'a str,
-        /// The configuration.
-        config: &'a L1Config,
-    },
-}
-
 /// Everything that determines one cell's outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyParts<'a> {
     /// The workload row.
     pub workload: &'a WorkloadSpec,
-    /// The L1D column.
-    pub l1: L1Column<'a>,
+    /// The L1D configuration; `None` is the Oracle's unbounded L1, which
+    /// has no finite geometry — its behaviour is defined entirely by the
+    /// engine version. A column's label is not part of the key: one
+    /// configuration under two names is one cell.
+    pub l1: Option<&'a L1Config>,
     /// The machine.
     pub gpu: &'a GpuConfig,
     /// Resolved warp-instruction budget (ops-scale and `FUSE_SCALE`
@@ -125,27 +109,14 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v3\n");
+    s.push_str("fuse-cell-key-v4\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
     s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
     s.push_str(&format!("gpu={:?}\n", parts.gpu));
-    match parts.l1 {
-        L1Column::Preset { name, config } => {
-            s.push_str(&format!("l1.kind=preset\nl1.name={name}\n"));
-            match config {
-                Some(cfg) => s.push_str(&format!("l1.config={cfg:?}\n")),
-                None => s.push_str("l1.config=unbounded\n"),
-            }
-        }
-        L1Column::Custom { name, config } => {
-            s.push_str(&format!(
-                "l1.kind=custom\nl1.name={name}\nl1.config={config:?}\n"
-            ));
-        }
-    }
+    s.push_str(&format!("l1.config={:?}\n", parts.l1));
     s
 }
 
@@ -182,10 +153,7 @@ mod tests {
     fn parts<'a>(w: &'a WorkloadSpec, gpu: &'a GpuConfig, l1: &'a L1Config) -> KeyParts<'a> {
         KeyParts {
             workload: w,
-            l1: L1Column::Preset {
-                name: "Dy-FUSE",
-                config: Some(l1),
-            },
+            l1: Some(l1),
             gpu,
             ops_per_warp: 1000,
             max_cycles: 1_000_000,
@@ -212,11 +180,11 @@ mod tests {
         let l1 = L1Preset::DyFuse.config();
         let k = CellKey::derive(&parts(&w, &gpu, &l1));
         for needle in [
-            "fuse-cell-key-v3\n",
+            "fuse-cell-key-v4\n",
             ENGINE_VERSION,
             "ops_per_warp=1000",
             "max_cycles=1000000",
-            "l1.name=Dy-FUSE",
+            "l1.config=Some(L1Config {",
         ] {
             assert!(k.text.contains(needle), "missing {needle:?}");
         }
@@ -241,11 +209,8 @@ mod tests {
         let gpu = GpuConfig::gtx480();
         let l1 = L1Preset::DyFuse.config();
         let mut p = parts(&w, &gpu, &l1);
-        p.l1 = L1Column::Preset {
-            name: "Oracle",
-            config: None,
-        };
+        p.l1 = None;
         let k = CellKey::derive(&p);
-        assert!(k.text.contains("l1.config=unbounded"));
+        assert!(k.text.contains("l1.config=None\n"));
     }
 }

@@ -52,7 +52,7 @@ pub mod store;
 pub mod transport;
 
 pub use client::ClientConfig;
-pub use key::{CellKey, KeyParts, L1Column, ENGINE_FEATURES, ENGINE_VERSION};
+pub use key::{CellKey, KeyParts, ENGINE_FEATURES, ENGINE_VERSION};
 pub use record::CellRecord;
 pub use server::{CellBackend, ServeOptions, Server, ServerConfig};
 pub use store::{CacheStatsSnapshot, ResultCache, VerifyOutcome};

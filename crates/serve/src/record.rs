@@ -7,17 +7,19 @@
 //! telemetry (skipped cycles, dispatch counts) is not recorded: the
 //! event engine and the always-tick reference produce the same record.
 //!
-//! # On-disk format (`fuse-cell-record-v2`)
+//! The record holds no labels: a cell is keyed by its configuration, and
+//! one configuration may be a column under several names, so each reader
+//! labels the record with its own row and column.
+//!
+//! # On-disk format (`fuse-cell-record-v3`)
 //!
 //! A single UTF-8 text file:
 //!
 //! ```text
-//! fuse-cell-record-v2
+//! fuse-cell-record-v3
 //! key=<32 hex digest>
 //! keytext=<byte length N>
 //! <N bytes of canonical key text (multi-line)>
-//! workload=ATAX
-//! config=Dy-FUSE
 //! sim.cycles=456
 //! ...one line per statistic field...
 //! energy.l2_nj=0x40a3880000000000
@@ -45,15 +47,11 @@ use crate::key::{fnv1a64, CellKey};
 /// Format tag at the top of every entry file. Bump on any layout change;
 /// old-version files parse as corrupt and are quarantined, never
 /// misinterpreted.
-pub const RECORD_FORMAT: &str = "fuse-cell-record-v2";
+pub const RECORD_FORMAT: &str = "fuse-cell-record-v3";
 
 /// The recorded outcome of one simulation cell.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellRecord {
-    /// Workload row label.
-    pub workload: String,
-    /// Configuration column label.
-    pub config: String,
     /// Engine statistics.
     pub sim: SimStats,
     /// FUSE controller metrics summed over SMs.
@@ -187,8 +185,6 @@ impl CellRecord {
         out.push_str(&format!("key={}\n", key.hex));
         out.push_str(&format!("keytext={}\n", key.text.len()));
         out.push_str(&key.text);
-        out.push_str(&format!("workload={}\n", self.workload));
-        out.push_str(&format!("config={}\n", self.config));
         with_int_fields!(emit_int, out, self);
         with_f64_fields!(emit_f64, out, self);
         out.push_str(&format!(
@@ -250,11 +246,7 @@ impl CellRecord {
         }
 
         let fields = &fields;
-        let mut r = CellRecord {
-            workload: str_field(fields, "workload")?,
-            config: str_field(fields, "config")?,
-            ..CellRecord::default()
-        };
+        let mut r = CellRecord::default();
         with_int_fields!(take_int, fields, r);
         with_f64_fields!(take_f64, fields, r);
         Ok((r, key_hex, key_text))
@@ -267,13 +259,6 @@ fn next_line<'a>(rest: &mut &'a str, what: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("truncated before {what}"))?;
     *rest = r;
     Ok(l)
-}
-
-fn str_field(fields: &std::collections::HashMap<&str, &str>, name: &str) -> Result<String, String> {
-    fields
-        .get(name)
-        .map(|v| v.to_string())
-        .ok_or_else(|| format!("missing field {name}"))
 }
 
 fn int_field<T: std::str::FromStr>(
@@ -300,7 +285,7 @@ fn bits_field(fields: &std::collections::HashMap<&str, &str>, name: &str) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{CellKey, KeyParts, L1Column};
+    use crate::key::{CellKey, KeyParts};
     use fuse_core::config::L1Preset;
     use fuse_gpu::config::GpuConfig;
 
@@ -310,10 +295,7 @@ mod tests {
         let l1 = L1Preset::DyFuse.config();
         CellKey::derive(&KeyParts {
             workload: &w,
-            l1: L1Column::Preset {
-                name: "Dy-FUSE",
-                config: Some(&l1),
-            },
+            l1: Some(&l1),
             gpu: &gpu,
             ops_per_warp: 100,
             max_cycles: 1000,
@@ -321,11 +303,7 @@ mod tests {
     }
 
     fn sample_record() -> CellRecord {
-        let mut r = CellRecord {
-            workload: "ATAX".to_string(),
-            config: "Dy-FUSE".to_string(),
-            ..CellRecord::default()
-        };
+        let mut r = CellRecord::default();
         r.sim.cycles = 123_456;
         r.sim.instructions = 999;
         r.sim.l1.hits = 42;

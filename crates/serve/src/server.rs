@@ -978,11 +978,7 @@ mod tests {
             if spec.workload == "PANIC" {
                 panic!("injected backend panic");
             }
-            let mut r = CellRecord {
-                workload: spec.workload.clone(),
-                config: spec.config.clone(),
-                ..CellRecord::default()
-            };
+            let mut r = CellRecord::default();
             r.sim.cycles = spec.workload.len() as u64 * 1000 + spec.config.len() as u64;
             r.sim.instructions = 7;
             Ok(r)

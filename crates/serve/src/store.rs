@@ -410,7 +410,7 @@ fn is_entry_name(digest: &str, shard: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{CellKey, KeyParts, L1Column};
+    use crate::key::{CellKey, KeyParts};
     use fuse_core::config::L1Preset;
     use fuse_gpu::config::GpuConfig;
 
@@ -420,10 +420,7 @@ mod tests {
         let l1 = L1Preset::DyFuse.config();
         CellKey::derive(&KeyParts {
             workload: &w,
-            l1: L1Column::Preset {
-                name: "Dy-FUSE",
-                config: Some(&l1),
-            },
+            l1: Some(&l1),
             gpu: &gpu,
             ops_per_warp: ops,
             max_cycles: 1000,
@@ -431,11 +428,7 @@ mod tests {
     }
 
     fn record_for(cycles: u64) -> CellRecord {
-        let mut r = CellRecord {
-            workload: "ATAX".to_string(),
-            config: "Dy-FUSE".to_string(),
-            ..CellRecord::default()
-        };
+        let mut r = CellRecord::default();
         r.sim.cycles = cycles;
         r
     }

@@ -22,9 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fuse::core::config::L1Preset;
-use fuse::runner::{
-    preset_by_name, preset_cell_key, run_workload, RunConfig, RunResult, ServeBackend,
-};
+use fuse::runner::{preset_by_name, RunConfig, RunResult, ServeBackend};
 use fuse::serve::proto::CellSpec;
 use fuse::serve::{
     auth, client, ClientConfig, Endpoint, Listener, ResultCache, ServeOptions, Server,
@@ -504,29 +502,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .ok_or_else(|| format!("unknown workload {:?} (try `fusesim list`)", args.workload))?;
     let preset = preset_by_name(&args.config)
         .ok_or_else(|| format!("unknown config {:?} (try `fusesim list`)", args.config))?;
-    let rc = run_config(args)?;
-    let r = match open_cache(args)? {
-        Some(cache) => {
-            let key = preset_cell_key(&spec, preset, &rc);
-            match cache.get(&key) {
-                Some(rec) => {
-                    if !args.quiet {
-                        println!("cache hit {} (no simulation run)", key.hex);
-                    }
-                    RunResult::from_record(&rec)
-                }
-                None => {
-                    let r = run_workload(&spec, preset, &rc);
-                    cache
-                        .insert(&key, r.to_record())
-                        .map_err(|e| format!("recording {}: {e}", key.hex))?;
-                    r
-                }
-            }
-        }
-        None => run_workload(&spec, preset, &rc),
-    };
-    print_result(&r, args.quiet);
+    let mut plan = SweepPlan::new("run", run_config(args)?)
+        .workloads([spec])
+        .presets(&[preset]);
+    if let Some(cache) = open_cache(args)? {
+        plan = plan.cache(cache);
+    }
+    let report = plan.run();
+    if report.cache_hits == Some(1) && !args.quiet {
+        println!("cache hit (no simulation run)");
+    }
+    let r = &report.cell(0, 0).result;
+    print_result(r, args.quiet);
     if let Some(path) = &args.metrics_out {
         let profile = r
             .profile

@@ -11,11 +11,11 @@
 //!
 //! [`run`] is the cell provider. Every plan shares one [`ResultCache`],
 //! so a cell that several entries read simulates once, and a warm rerun
-//! simulates nothing. Where a figure compares against a custom
-//! configuration equal to a preset (Fig. 7b's approximate bank and
-//! Fig. 20's 3-hash, 128-slot filter are FA-FUSE; Fig. 18's 1/2 split
-//! and each ablation's paper value are Dy-FUSE), the entry declares the
-//! preset, so the figures share the cell.
+//! simulates nothing. Each entry declares its figure's own columns: a
+//! cell is keyed by its workload, machine, L1 configuration and budget,
+//! never by its column's label, so Fig. 18's 1/2 split and each
+//! ablation's paper value share the Dy-FUSE cell, and Fig. 20's 3-hash,
+//! 128-slot filter shares FA-FUSE's.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -298,11 +298,10 @@ const SLOTS: [(u32, usize); 3] = [(3, 32), (3, 64), (3, 128)];
 fn cbf_grid(scale: f64, columns: &[(u32, usize)]) -> Vec<SweepPlan> {
     let mut plan = grid("fig20", gtx480(scale), fig20_workloads());
     for &(hashes, slots) in columns {
-        let cfg = fa_fuse_with_cbf(hashes, slots);
-        plan = match (hashes, slots) {
-            (3, 128) => plan.presets(&[L1Preset::FaFuse]),
-            _ => plan.custom(format!("CBF-{hashes}x{slots}"), cfg),
-        };
+        plan = plan.custom(
+            format!("CBF-{hashes}x{slots}"),
+            fa_fuse_with_cbf(hashes, slots),
+        );
     }
     vec![plan]
 }
@@ -321,13 +320,13 @@ fn cbf_table(r: &SweepReport, title: &str, headers: &str, t: &mut Vec<Table>) ->
     t.push(per_workload(r, title, headers, |_, row| {
         row.iter().map(|c| sci(rate(c))).collect()
     }));
-    let fa = r.configs.iter().position(|c| c == "FA-FUSE")?;
+    let fa = r.configs.iter().position(|c| c == "CBF-3x128")?;
     let first = mean(&per_row(r, |row| rate(&row[0]))).filter(|m| *m > 0.0)?;
     Some(1.0 - mean(&per_row(r, |row| rate(&row[fa])))? / first)
 }
 
 /// A Dy-FUSE knob swept on ATAX (irregular, read-dominated) and PVC
-/// (write-heavy); the column of the paper's value is the Dy-FUSE preset.
+/// (write-heavy); the column of the paper's value is Dy-FUSE itself.
 struct Knob {
     label: &'static str,
     title: &'static str,
@@ -392,11 +391,7 @@ impl Knob {
     fn cells(&self, scale: f64) -> Vec<SweepPlan> {
         let mut plan = grid("ablation", gtx480(scale), named(&["ATAX", "PVC"]));
         for &v in self.values {
-            plan = if v == self.paper {
-                plan.presets(&[L1Preset::DyFuse])
-            } else {
-                plan.custom(format!("{}={v}", self.label), self.config(v))
-            };
+            plan = plan.custom(format!("{}={v}", self.label), self.config(v));
         }
         vec![plan]
     }
@@ -407,23 +402,17 @@ impl Knob {
         let paper = self.values.iter().position(|v| *v == self.paper)?;
         let mut t = table(self.title, "variant", &r[0].workloads.join("|"));
         let (mut best, mut others) = (0.0f64, Vec::new());
-        for (ci, v) in self.values.iter().enumerate() {
-            let label = format!("{}={v}", self.label);
+        for (ci, label) in r[0].configs.iter().enumerate() {
             let ratios = per_row(&r[0], |row| row[ci].result.ipc() / row[paper].result.ipc());
             let shown: Vec<String> = ratios.iter().map(|v| f(*v, 3)).collect();
             if ci != paper {
                 best = ratios.iter().copied().fold(best, f64::max);
                 others.push(format!("{label} {}", shown.join("/")));
             }
-            t.row(once(label).chain(shown).collect());
+            t.row(once(label.clone()).chain(shown).collect());
         }
         tables.push(t);
-        let at = format!(
-            "{}={} ({})",
-            self.label,
-            self.paper,
-            r[0].workloads.join("/")
-        );
+        let at = format!("{} ({})", r[0].configs[paper], r[0].workloads.join("/"));
         let text = format!("IPC vs {at}: {}", others.join(", "));
         Some((text, vec![best]))
     }
@@ -737,10 +726,7 @@ const ENTRIES: &[Entry] = &[
         cells: |s| {
             let mut plan = grid("fig18", gtx480(s), fig18_workloads());
             for (num, den, name) in RATIOS {
-                plan = match (num, den) {
-                    (1, 2) => plan.presets(&[L1Preset::DyFuse]),
-                    _ => plan.custom(name, dy_fuse_with_ratio(num, den)),
-                };
+                plan = plan.custom(name, dy_fuse_with_ratio(num, den));
             }
             vec![plan]
         },
@@ -1166,34 +1152,27 @@ fn table3(tables: &mut Vec<Table>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{custom_cell_key, preset_cell_key};
-    use crate::sweep::SweepConfig;
+    use crate::runner::cell_key;
     use std::collections::HashSet;
 
     /// The cache key of every cell of `plan`, as the sweep derives them.
     fn cell_keys(plan: &SweepPlan) -> Vec<String> {
         let rc = &plan.run_config;
-        let key = |w, c: &SweepConfig| match c {
-            SweepConfig::Preset(p) => preset_cell_key(w, *p, rc).hex,
-            SweepConfig::Custom { name, config } => custom_cell_key(w, name, config, rc).hex,
-        };
         let cells = plan
             .workloads
             .iter()
             .flat_map(|w| plan.configs.iter().map(move |c| (w, c)));
-        cells.map(|(w, c)| key(w, c)).collect()
+        cells
+            .map(|(w, c)| cell_key(w, c.l1.as_ref(), rc).hex)
+            .collect()
     }
 
-    /// The custom configurations the figures compare against where the
-    /// entries declare a preset instead. Both build `FuseL1::new(cfg)`
-    /// with the same energy banks, so no number moves.
+    /// Every figure's own configurations build, and an ablation's other
+    /// settings differ from the paper's.
     #[test]
-    fn presets_stand_in_for_equal_customs() {
-        let (fa, dy) = (L1Preset::FaFuse.config(), L1Preset::DyFuse.config());
-        assert_eq!(fa_fuse_with_cbf(3, 128), fa, "Fig. 20 3-hash/128-slot");
-        assert_eq!(dy_fuse_with_ratio(1, 2), dy, "Fig. 18 1/2 split");
+    fn figure_configurations_validate() {
+        let dy = L1Preset::DyFuse.config();
         for knob in &KNOBS {
-            assert_eq!(knob.config(knob.paper), dy, "ablation {}", knob.label);
             for &v in knob.values.iter().filter(|v| **v != knob.paper) {
                 assert_ne!(knob.config(v), dy, "{}={v} must differ", knob.label);
                 knob.config(v).validate();
@@ -1214,8 +1193,11 @@ mod tests {
         assert_eq!(exact, SttOrganization::SetAssoc { sets: 1, ways: 512 });
     }
 
-    /// 975 declared cells, 441 distinct (the old harnesses ran 893); no
-    /// plan repeats a key, so its workers never simulate one cell twice.
+    /// 975 declared cells, 441 distinct (the old harnesses ran 893): the
+    /// figures' own columns that equal a preset (Fig. 18's 1/2 split,
+    /// Fig. 20's 3×128 filter, each ablation's paper value) share its
+    /// cell. No plan repeats a key, so its workers never simulate one
+    /// cell twice.
     #[test]
     fn declared_cells_dedupe_to_the_distinct_keys() {
         let (mut declared, mut distinct) = (0, HashSet::new());

@@ -1,20 +1,21 @@
 //! Experiment runner: one (workload, L1 configuration) → one result.
 //!
-//! Every figure and table bench, every example and most integration tests
-//! funnel through [`run_workload`] / [`run_l1_config`], so all numbers in
-//! EXPERIMENTS.md come from the same code path.
+//! The paper ledger, every sweep, every example and most integration
+//! tests funnel through [`run_l1_config`] (or [`run_workload`], its
+//! preset form), so all numbers in EXPERIMENTS.md come from the same code
+//! path. An L1 column is an `Option<L1Config>` throughout, `None` being
+//! the Oracle's unbounded L1 ([`fuse_core::config::build_l1`]).
 
-use fuse_core::config::{L1Config, L1Preset};
+use fuse_core::config::{build_l1, L1Config, L1Preset};
 use fuse_core::controller::FuseL1;
 use fuse_core::metrics::L1Metrics;
 use fuse_gpu::config::GpuConfig;
 use fuse_gpu::stats::SimStats;
 use fuse_gpu::system::GpuSystem;
 use fuse_mem::energy::{EnergyBreakdown, EnergyParams};
-use fuse_mem::tech::BankParams;
 use fuse_obs::profile::ProfileReport;
 use fuse_obs::trace::TraceRing;
-use fuse_serve::key::{CellKey, KeyParts, L1Column};
+use fuse_serve::key::{CellKey, KeyParts};
 use fuse_serve::record::CellRecord;
 use fuse_workloads::spec::WorkloadSpec;
 
@@ -91,7 +92,7 @@ impl RunConfig {
 
     /// The resolved warp-instruction budget for `spec` — the number the
     /// generators actually receive (public because it is part of the
-    /// result-cache key; see [`preset_cell_key`]).
+    /// result-cache key; see [`cell_key`]).
     pub fn ops_for(&self, spec: &WorkloadSpec) -> usize {
         ((spec.ops_per_warp as f64 * self.ops_scale).round() as usize).max(8)
     }
@@ -168,25 +169,26 @@ impl RunResult {
     }
 
     /// The cacheable projection of this result: everything except the
-    /// observer payloads (`profile`/`trace`), which cache layers refuse
-    /// to serve anyway ([`RunConfig::observed`]).
+    /// labels, which belong to the reader (one configuration may be a
+    /// column under several names), and the observer payloads
+    /// (`profile`/`trace`), which cache layers refuse to serve anyway
+    /// ([`RunConfig::observed`]).
     pub fn to_record(&self) -> CellRecord {
         CellRecord {
-            workload: self.workload.clone(),
-            config: self.config.clone(),
             sim: self.sim,
             metrics: self.metrics,
             energy: self.energy,
         }
     }
 
-    /// Rehydrates a result from a cached record. The engine telemetry is
-    /// 0 and `profile` and `trace` are `None`: records hold only
+    /// Rehydrates the result of row `workload` in the column labelled
+    /// `config` from a cached record. The engine telemetry is 0 and
+    /// `profile` and `trace` are `None`: records hold only
     /// engine-independent outcomes, and observed runs are never cached.
-    pub fn from_record(rec: &CellRecord) -> RunResult {
+    pub fn from_record(workload: &str, config: &str, rec: &CellRecord) -> RunResult {
         RunResult {
-            workload: rec.workload.clone(),
-            config: rec.config.clone(),
+            workload: workload.to_string(),
+            config: config.to_string(),
             sim: rec.sim,
             metrics: rec.metrics,
             energy: rec.energy,
@@ -199,37 +201,18 @@ impl RunResult {
     }
 }
 
-/// Content key for (`spec` on preset `preset` under `rc`) — see
-/// [`fuse_serve::key`] for the invalidation contract. Oracle has no
-/// finite configuration, so its column keys on the engine version alone.
-pub fn preset_cell_key(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> CellKey {
-    let cfg = (preset != L1Preset::Oracle).then(|| preset.config());
-    cell_key(
-        spec,
-        L1Column::Preset {
-            name: preset.name(),
-            config: cfg.as_ref(),
-        },
-        rc,
-    )
-}
-
-/// Content key for (`spec` on the custom configuration `cfg` named
-/// `config_name` under `rc`).
-pub fn custom_cell_key(
-    spec: &WorkloadSpec,
-    config_name: &str,
-    cfg: &L1Config,
-    rc: &RunConfig,
-) -> CellKey {
-    cell_key(
-        spec,
-        L1Column::Custom {
-            name: config_name,
-            config: cfg,
-        },
-        rc,
-    )
+/// Content key for `spec` on the L1 column `l1` (`None`: the Oracle)
+/// under `rc` — see [`fuse_serve::key`] for the invalidation contract. A
+/// column's label is no part of it: one configuration under two names is
+/// one cell.
+pub fn cell_key(spec: &WorkloadSpec, l1: Option<&L1Config>, rc: &RunConfig) -> CellKey {
+    CellKey::derive(&KeyParts {
+        workload: spec,
+        l1,
+        gpu: &rc.gpu,
+        ops_per_warp: rc.ops_for(spec),
+        max_cycles: rc.max_cycles,
+    })
 }
 
 /// Resolves an L1 preset by its published column name, case-insensitively
@@ -255,76 +238,24 @@ impl ServeBackend {
     }
 }
 
+/// The workload and preset a served cell names.
+fn resolve(spec: &fuse_serve::proto::CellSpec) -> Result<(WorkloadSpec, L1Preset), String> {
+    let w = fuse_workloads::by_name(&spec.workload)
+        .ok_or_else(|| format!("unknown workload {:?}", spec.workload))?;
+    let p =
+        preset_by_name(&spec.config).ok_or_else(|| format!("unknown config {:?}", spec.config))?;
+    Ok((w, p))
+}
+
 impl fuse_serve::CellBackend for ServeBackend {
     fn key(&self, spec: &fuse_serve::proto::CellSpec) -> Result<CellKey, String> {
-        let w = fuse_workloads::by_name(&spec.workload)
-            .ok_or_else(|| format!("unknown workload {:?}", spec.workload))?;
-        let p = preset_by_name(&spec.config)
-            .ok_or_else(|| format!("unknown config {:?}", spec.config))?;
-        Ok(preset_cell_key(&w, p, &self.rc))
+        let (w, p) = resolve(spec)?;
+        Ok(cell_key(&w, p.l1().as_ref(), &self.rc))
     }
 
     fn simulate(&self, spec: &fuse_serve::proto::CellSpec) -> Result<CellRecord, String> {
-        let w = fuse_workloads::by_name(&spec.workload)
-            .ok_or_else(|| format!("unknown workload {:?}", spec.workload))?;
-        let p = preset_by_name(&spec.config)
-            .ok_or_else(|| format!("unknown config {:?}", spec.config))?;
+        let (w, p) = resolve(spec)?;
         Ok(run_workload(&w, p, &self.rc).to_record())
-    }
-}
-
-fn cell_key(spec: &WorkloadSpec, l1: L1Column<'_>, rc: &RunConfig) -> CellKey {
-    CellKey::derive(&KeyParts {
-        workload: spec,
-        l1,
-        gpu: &rc.gpu,
-        ops_per_warp: rc.ops_for(spec),
-        max_cycles: rc.max_cycles,
-    })
-}
-
-fn collect(
-    workload: &str,
-    config_name: &str,
-    sys: &mut GpuSystem,
-    sim: SimStats,
-    banks: (Option<BankParams>, Option<BankParams>),
-) -> RunResult {
-    let mut metrics = L1Metrics::default();
-    for s in 0..sys.config().num_sms {
-        if let Some(l1) = sys.l1(s).as_any().downcast_ref::<FuseL1>() {
-            metrics.merge(&l1.metrics());
-        }
-    }
-    let params = EnergyParams {
-        sram: banks.0,
-        stt: banks.1,
-        num_sms: sys.config().num_sms as u32,
-        dram_channels: sys.config().dram_channels as u32,
-        clock_ghz: sys.config().clock_ghz,
-        ..EnergyParams::default()
-    };
-    let energy = params.evaluate(&sim.energy, sim.cycles);
-    RunResult {
-        workload: workload.to_string(),
-        config: config_name.to_string(),
-        sim,
-        metrics,
-        energy,
-        skipped_cycles: sys.skipped_cycles(),
-        component_ticks: sys.component_ticks(),
-        component_opportunities: sys.component_opportunities(),
-        profile: sys.take_profile(),
-        trace: sys.take_trace(),
-    }
-}
-
-fn apply_observability(sys: &mut GpuSystem, rc: &RunConfig) {
-    if let Some(window) = rc.metrics_window {
-        sys.enable_profiler(window);
-    }
-    if let Some(capacity) = rc.trace_capacity {
-        sys.enable_tracer(capacity);
     }
 }
 
@@ -340,45 +271,59 @@ fn apply_observability(sys: &mut GpuSystem, rc: &RunConfig) {
 /// assert!(r.sim.instructions > 0);
 /// ```
 pub fn run_workload(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> RunResult {
-    let ops = rc.ops_for(spec);
-    let mut sys = GpuSystem::new(
-        rc.gpu.clone(),
-        |_| preset.build_model(),
-        |sm, warp| spec.program(sm, warp, ops),
-    );
-    sys.set_cycle_skipping(rc.skip);
-    sys.set_active_set(rc.active_set);
-    apply_observability(&mut sys, rc);
-    let sim = sys.run(rc.max_cycles);
-    collect(
-        spec.name,
-        preset.name(),
-        &mut sys,
-        sim,
-        preset.energy_banks(),
-    )
+    run_l1_config(spec, preset.l1().as_ref(), preset.name(), rc)
 }
 
-/// Runs `spec` on an arbitrary [`L1Config`] (the Fig. 18 ratio sweep and
-/// ablations use this).
+/// Runs `spec` on the L1 column `l1` (`None`: the Oracle), labelling the
+/// result `config_name` — the one run body behind every cell.
 pub fn run_l1_config(
     spec: &WorkloadSpec,
-    cfg: &L1Config,
+    l1: Option<&L1Config>,
     config_name: &str,
     rc: &RunConfig,
 ) -> RunResult {
     let ops = rc.ops_for(spec);
-    let banks = (cfg.sram.map(|s| s.params), cfg.stt.map(|s| s.params));
+    let (model, (sram, stt)) = build_l1(l1);
     let mut sys = GpuSystem::new(
         rc.gpu.clone(),
-        |_| Box::new(FuseL1::new(cfg.clone())),
+        |_| model(),
         |sm, warp| spec.program(sm, warp, ops),
     );
     sys.set_cycle_skipping(rc.skip);
     sys.set_active_set(rc.active_set);
-    apply_observability(&mut sys, rc);
+    if let Some(window) = rc.metrics_window {
+        sys.enable_profiler(window);
+    }
+    if let Some(capacity) = rc.trace_capacity {
+        sys.enable_tracer(capacity);
+    }
     let sim = sys.run(rc.max_cycles);
-    collect(spec.name, config_name, &mut sys, sim, banks)
+    let mut metrics = L1Metrics::default();
+    for s in 0..sys.config().num_sms {
+        if let Some(l1) = sys.l1(s).as_any().downcast_ref::<FuseL1>() {
+            metrics.merge(&l1.metrics());
+        }
+    }
+    let params = EnergyParams {
+        sram,
+        stt,
+        num_sms: sys.config().num_sms as u32,
+        dram_channels: sys.config().dram_channels as u32,
+        clock_ghz: sys.config().clock_ghz,
+        ..EnergyParams::default()
+    };
+    RunResult {
+        workload: spec.name.to_string(),
+        config: config_name.to_string(),
+        sim,
+        metrics,
+        energy: params.evaluate(&sim.energy, sim.cycles),
+        skipped_cycles: sys.skipped_cycles(),
+        component_ticks: sys.component_ticks(),
+        component_opportunities: sys.component_opportunities(),
+        profile: sys.take_profile(),
+        trace: sys.take_trace(),
+    }
 }
 
 /// Lockstep-verifies `spec` on `preset` under `rc`'s machine and budget:
@@ -510,13 +455,15 @@ mod tests {
     fn record_round_trip_preserves_the_result() {
         let w = by_name("ATAX").unwrap();
         let r = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
-        let back = RunResult::from_record(&r.to_record());
+        let back = RunResult::from_record("ATAX", "1/2", &r.to_record());
         assert_eq!(r.sim, back.sim);
         assert_eq!(r.metrics, back.metrics);
         assert_eq!(r.energy, back.energy);
         assert_eq!(back.skipped_cycles, 0, "records are engine-independent");
-        assert_eq!(r.workload, back.workload);
-        assert_eq!(r.config, back.config);
+        assert_eq!(
+            (back.workload.as_str(), back.config.as_str()),
+            ("ATAX", "1/2")
+        );
         assert!(back.profile.is_none() && back.trace.is_none());
     }
 
@@ -524,15 +471,16 @@ mod tests {
     fn cell_keys_separate_every_grid_axis() {
         let w = by_name("ATAX").unwrap();
         let rc = RunConfig::smoke();
-        let base = preset_cell_key(&w, L1Preset::DyFuse, &rc);
+        let key = |w: &WorkloadSpec, p: L1Preset, rc: &RunConfig| cell_key(w, p.l1().as_ref(), rc);
+        let base = key(&w, L1Preset::DyFuse, &rc);
         assert_eq!(
             base,
-            preset_cell_key(&w, L1Preset::DyFuse, &rc),
+            key(&w, L1Preset::DyFuse, &rc),
             "same inputs, same key"
         );
-        let other_preset = preset_cell_key(&w, L1Preset::L1Sram, &rc);
-        let other_workload = preset_cell_key(&by_name("GEMM").unwrap(), L1Preset::DyFuse, &rc);
-        let other_budget = preset_cell_key(
+        let other_preset = key(&w, L1Preset::L1Sram, &rc);
+        let other_workload = key(&by_name("GEMM").unwrap(), L1Preset::DyFuse, &rc);
+        let other_budget = key(
             &w,
             L1Preset::DyFuse,
             &RunConfig {
@@ -540,14 +488,23 @@ mod tests {
                 ..RunConfig::smoke()
             },
         );
-        let keys = [&base, &other_preset, &other_workload, &other_budget];
+        // Oracle derives a key without panicking despite having no
+        // finite configuration.
+        let oracle = key(&w, L1Preset::Oracle, &rc);
+        let keys = [
+            &base,
+            &other_preset,
+            &other_workload,
+            &other_budget,
+            &oracle,
+        ];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {
                 assert_ne!(a.hex, b.hex, "axes must not collide");
             }
         }
         // Both engines produce the same record, so the engine is no axis.
-        let tick_engine = preset_cell_key(
+        let tick_engine = key(
             &w,
             L1Preset::DyFuse,
             &RunConfig {
@@ -556,10 +513,10 @@ mod tests {
             },
         );
         assert_eq!(base, tick_engine);
-        // Oracle derives a key without panicking despite having no
-        // finite configuration.
-        let oracle = preset_cell_key(&w, L1Preset::Oracle, &rc);
-        assert!(oracle.text.contains("l1.config=unbounded"));
+        // Nor is the label: Fig. 18's 1/2 split is the Dy-FUSE cell.
+        let half = fuse_core::config::dy_fuse_with_ratio(1, 2);
+        assert_eq!(base, cell_key(&w, Some(&half), &rc));
+        assert!(!base.text.contains("Dy-FUSE"), "no label reaches the key");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! # Determinism
 //!
-//! Each grid cell owns its whole simulator instance ([`run_workload`] /
-//! [`run_l1_config`] construct a fresh [`fuse_gpu::system::GpuSystem`] per
-//! call) and the workload generators are seeded pure functions of
+//! Each grid cell owns its whole simulator instance ([`run_l1_config`]
+//! constructs a fresh [`fuse_gpu::system::GpuSystem`] per call) and the
+//! workload generators are seeded pure functions of
 //! (workload, SM, warp), so cells share no mutable state. Parallel
 //! execution therefore yields **bitwise-identical** [`RunResult`]s to the
 //! serial path — only the wall-clock timings differ. The
@@ -41,53 +41,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fuse_core::config::{L1Config, L1Preset};
-use fuse_serve::key::CellKey;
 use fuse_serve::store::ResultCache;
 use fuse_workloads::spec::WorkloadSpec;
 
-use crate::runner::{
-    custom_cell_key, preset_cell_key, run_l1_config, run_workload, RunConfig, RunResult,
-};
+use crate::runner::{cell_key, run_l1_config, RunConfig, RunResult};
 
-/// One L1D column of the sweep grid.
-// `Custom` carries a full `L1Config` inline; a plan holds a handful of
-// columns, so the size gap to `Preset` is irrelevant.
-#[allow(clippy::large_enum_variant)]
+/// One L1D column of the sweep grid. A cell is keyed by `l1` alone, so
+/// two labels for one configuration share one cached cell; each result
+/// carries its own column's `name`, hit or miss.
 #[derive(Debug, Clone)]
-pub enum SweepConfig {
-    /// A named Table I preset.
-    Preset(L1Preset),
-    /// An arbitrary configuration (ratio sweeps, ablations).
-    Custom {
-        /// Column label in the report.
-        name: String,
-        /// The configuration to run.
-        config: L1Config,
-    },
-}
-
-impl SweepConfig {
-    /// The column label.
-    pub fn name(&self) -> &str {
-        match self {
-            SweepConfig::Preset(p) => p.name(),
-            SweepConfig::Custom { name, .. } => name,
-        }
-    }
-
-    fn run(&self, spec: &WorkloadSpec, rc: &RunConfig) -> RunResult {
-        match self {
-            SweepConfig::Preset(p) => run_workload(spec, *p, rc),
-            SweepConfig::Custom { name, config } => run_l1_config(spec, config, name, rc),
-        }
-    }
-
-    fn key(&self, spec: &WorkloadSpec, rc: &RunConfig) -> CellKey {
-        match self {
-            SweepConfig::Preset(p) => preset_cell_key(spec, *p, rc),
-            SweepConfig::Custom { name, config } => custom_cell_key(spec, name, config, rc),
-        }
-    }
+pub struct SweepConfig {
+    /// Column label in the report.
+    pub name: String,
+    /// The configuration; `None` is the Oracle's unbounded L1.
+    pub l1: Option<L1Config>,
 }
 
 /// A (workload × L1 configuration) grid awaiting execution.
@@ -129,18 +96,20 @@ impl SweepPlan {
         self
     }
 
-    /// Adds preset columns.
+    /// Adds preset columns, each labelled with its preset's name.
     pub fn presets(mut self, presets: &[L1Preset]) -> Self {
-        self.configs
-            .extend(presets.iter().map(|p| SweepConfig::Preset(*p)));
+        self.configs.extend(presets.iter().map(|p| SweepConfig {
+            name: p.name().to_string(),
+            l1: p.l1(),
+        }));
         self
     }
 
     /// Adds a custom-configuration column.
     pub fn custom(mut self, name: impl Into<String>, config: L1Config) -> Self {
-        self.configs.push(SweepConfig::Custom {
+        self.configs.push(SweepConfig {
             name: name.into(),
-            config,
+            l1: Some(config),
         });
         self
     }
@@ -152,7 +121,7 @@ impl SweepPlan {
     }
 
     /// Attaches a content-addressed result cache (`fusesim sweep
-    /// --cache-dir`): cells whose [`CellKey`] is already recorded return
+    /// --cache-dir`): cells whose [`cell_key`] is already recorded return
     /// without simulating, so an incremental sweep re-runs only
     /// invalidated cells. Cached results are bitwise identical to cold
     /// ones ([`SweepReport::stats_json`] does not change), and the report
@@ -265,7 +234,7 @@ impl SweepPlan {
             }
             .to_string(),
             workloads: self.workloads.iter().map(|w| w.name.to_string()).collect(),
-            configs: self.configs.iter().map(|c| c.name().to_string()).collect(),
+            configs: self.configs.iter().map(|c| c.name.clone()).collect(),
             cells: slots
                 .into_iter()
                 .map(|c| c.expect("every cell executed"))
@@ -285,27 +254,25 @@ impl SweepPlan {
         misses: &AtomicU64,
     ) -> SweepCell {
         let t = Instant::now();
-        if let Some(cache) = cache {
-            let key = self.configs[ci].key(&self.workloads[wi], &self.run_config);
-            if let Some(rec) = cache.get(&key) {
-                hits.fetch_add(1, Ordering::Relaxed);
-                return SweepCell {
-                    result: RunResult::from_record(&rec),
-                    wall_ns: t.elapsed().as_nanos() as u64,
-                    allocs_per_kcycle: None,
-                };
-            }
-            let result = self.configs[ci].run(&self.workloads[wi], &self.run_config);
-            // A failed persist only loses warmth, never the result.
-            let _ = cache.insert(&key, result.to_record());
-            misses.fetch_add(1, Ordering::Relaxed);
-            return SweepCell {
-                result,
-                wall_ns: t.elapsed().as_nanos() as u64,
-                allocs_per_kcycle: None,
-            };
-        }
-        let result = self.configs[ci].run(&self.workloads[wi], &self.run_config);
+        let (spec, rc) = (&self.workloads[wi], &self.run_config);
+        let SweepConfig { name, l1 } = &self.configs[ci];
+        let run = || run_l1_config(spec, l1.as_ref(), name, rc);
+        let result = match cache.map(|c| (c, cell_key(spec, l1.as_ref(), rc))) {
+            None => run(),
+            Some((cache, key)) => match cache.get(&key) {
+                Some(rec) => {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    RunResult::from_record(spec.name, name, &rec)
+                }
+                None => {
+                    let result = run();
+                    // A failed persist only loses warmth, never the result.
+                    let _ = cache.insert(&key, result.to_record());
+                    misses.fetch_add(1, Ordering::Relaxed);
+                    result
+                }
+            },
+        };
         SweepCell {
             result,
             wall_ns: t.elapsed().as_nanos() as u64,
@@ -842,13 +809,34 @@ mod tests {
         let cold = tiny_plan().cache(cache.clone()).run();
         assert_eq!(cold.cache_misses, Some(4));
         // Invalidate exactly one cell.
-        let key = super::SweepConfig::Preset(L1Preset::DyFuse)
-            .key(&by_name("ATAX").unwrap(), &RunConfig::smoke());
+        let dy = L1Preset::DyFuse.l1();
+        let key = cell_key(&by_name("ATAX").unwrap(), dy.as_ref(), &RunConfig::smoke());
         assert!(cache.remove(&key.hex), "cold run cached this cell");
         let incr = tiny_plan().cache(cache).run();
         assert_eq!(incr.cache_hits, Some(3));
         assert_eq!(incr.cache_misses, Some(1), "only the removed cell re-ran");
         assert_eq!(cold.stats_json(), incr.stats_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_column_is_keyed_by_its_configuration_not_its_label() {
+        use fuse_core::config::dy_fuse_with_ratio;
+        let (dir, cache) = tmp_cache("label");
+        let plan = || SweepPlan::new("ratio", RunConfig::smoke()).workloads(by_name("ATAX"));
+        let preset = plan()
+            .presets(&[L1Preset::DyFuse])
+            .cache(cache.clone())
+            .run();
+        assert_eq!(preset.cache_misses, Some(1));
+        let half = plan()
+            .custom("1/2", dy_fuse_with_ratio(1, 2))
+            .cache(cache)
+            .run();
+        assert_eq!((half.cache_hits, half.cache_misses), (Some(1), Some(0)));
+        let (p, h) = (&preset.cell(0, 0).result, &half.cell(0, 0).result);
+        assert_eq!(h.config, "1/2", "a hit carries its own column's label");
+        assert_eq!((p.sim, p.metrics, p.energy), (h.sim, h.metrics, h.energy));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

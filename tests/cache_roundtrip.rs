@@ -73,9 +73,9 @@ fn invalidating_one_cell_reruns_only_that_cell() {
     assert_eq!(cold.cache_misses, Some(42));
 
     // Drop one recorded cell, as `fusesim cache rm <digest>` would.
-    let victim = fuse::runner::preset_cell_key(
+    let victim = fuse::runner::cell_key(
         &fuse::workloads::by_name("ATAX").expect("ATAX exists"),
-        L1Preset::DyFuse,
+        L1Preset::DyFuse.l1().as_ref(),
         &RunConfig::smoke(),
     );
     assert!(cache.remove(&victim.hex), "victim cell was recorded");

@@ -20,7 +20,7 @@ fn edram_configuration_refreshes_and_underperforms_stt() {
     let spec = by_name("ATAX").expect("known workload");
     let stt = run_workload(&spec, L1Preset::DyFuse, &rc());
     let cfg = edram_dy_fuse(rc().gpu.clock_ghz);
-    let edram = run_l1_config(&spec, &cfg, "eDRAM-FUSE", &rc());
+    let edram = run_l1_config(&spec, Some(&cfg), "eDRAM-FUSE", &rc());
     assert!(edram.metrics.refresh_events > 0, "eDRAM must refresh");
     assert_eq!(stt.metrics.refresh_events, 0, "STT-MRAM never refreshes");
     // §VI: half the capacity plus refresh loses to STT-MRAM.
@@ -72,8 +72,8 @@ fn write_through_l1_multiplies_outgoing_write_traffic() {
     let wb_cfg = L1Preset::DyFuse.config();
     let mut wt_cfg = L1Preset::DyFuse.config();
     wt_cfg.write_policy = WritePolicy::WriteThrough;
-    let wb = run_l1_config(&spec, &wb_cfg, "write-back", &rc());
-    let wt = run_l1_config(&spec, &wt_cfg, "write-through", &rc());
+    let wb = run_l1_config(&spec, Some(&wb_cfg), "write-back", &rc());
+    let wt = run_l1_config(&spec, Some(&wt_cfg), "write-through", &rc());
     assert_eq!(wb.sim.instructions, wt.sim.instructions);
     assert!(
         wt.outgoing_requests() > wb.outgoing_requests(),
@@ -97,8 +97,8 @@ fn stt_replacement_policy_is_configurable() {
     let fifo_cfg = L1Preset::BaseFuse.config();
     let mut plru_cfg = L1Preset::BaseFuse.config();
     plru_cfg.stt_policy = PolicyKind::PseudoLru;
-    let fifo = run_l1_config(&spec, &fifo_cfg, "Base-FUSE/FIFO", &rc());
-    let plru = run_l1_config(&spec, &plru_cfg, "Base-FUSE/pLRU", &rc());
+    let fifo = run_l1_config(&spec, Some(&fifo_cfg), "Base-FUSE/FIFO", &rc());
+    let plru = run_l1_config(&spec, Some(&plru_cfg), "Base-FUSE/pLRU", &rc());
     assert_eq!(fifo.sim.instructions, plru.sim.instructions);
     // Same machine, same workload: both retire with sane miss rates, and
     // the policies genuinely change eviction behaviour.
