@@ -2,8 +2,7 @@
 //!
 //! The paper uses LRU in SRAM banks and the L2 (GPGPU-Sim defaults) and FIFO
 //! in the STT-MRAM bank, because "the circuit complexity of LRU is not
-//! affordable in a full-associative cache" (§V). Pseudo-LRU is provided as
-//! the low-cost alternative the paper cites \[39\].
+//! affordable in a full-associative cache" (§V).
 
 /// Which replacement policy a [`ReplState`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -13,8 +12,6 @@ pub enum PolicyKind {
     Lru,
     /// First-in first-out (insertion stamps, untouched by hits).
     Fifo,
-    /// Tree-based pseudo-LRU (1 bit per internal node).
-    PseudoLru,
 }
 
 /// Per-set replacement state for one of the [`PolicyKind`]s.
@@ -25,9 +22,8 @@ pub enum PolicyKind {
 #[derive(Debug, Clone)]
 pub struct ReplState {
     kind: PolicyKind,
-    /// Recency/insertion stamps for Lru/Fifo; tree bits for PseudoLru.
+    /// Recency (Lru) or insertion (Fifo) stamps.
     stamps: Vec<u64>,
-    tree: Vec<bool>,
     clock: u64,
 }
 
@@ -36,20 +32,12 @@ impl ReplState {
     ///
     /// # Panics
     ///
-    /// Panics if `ways == 0`, or if `kind` is `PseudoLru` and `ways` is not
-    /// a power of two (the tree encoding requires it).
+    /// Panics if `ways == 0`.
     pub fn new(kind: PolicyKind, ways: usize) -> Self {
         assert!(ways > 0, "a set must have at least one way");
-        if kind == PolicyKind::PseudoLru {
-            assert!(
-                ways.is_power_of_two(),
-                "pseudo-LRU requires power-of-two ways"
-            );
-        }
         ReplState {
             kind,
             stamps: vec![0; ways],
-            tree: vec![false; ways.max(1) - 1],
             clock: 0,
         }
     }
@@ -59,27 +47,17 @@ impl ReplState {
         self.stamps.len()
     }
 
-    /// Records a hit on `way`.
+    /// Records a hit on `way` (hits do not refresh FIFO order).
     pub fn on_access(&mut self, way: usize) {
-        match self.kind {
-            PolicyKind::Lru => {
-                self.clock += 1;
-                self.stamps[way] = self.clock;
-            }
-            PolicyKind::Fifo => {} // hits do not refresh FIFO order
-            PolicyKind::PseudoLru => self.touch_tree(way),
+        if self.kind == PolicyKind::Lru {
+            self.on_fill(way);
         }
     }
 
     /// Records a fill into `way` (insertion).
     pub fn on_fill(&mut self, way: usize) {
-        match self.kind {
-            PolicyKind::Lru | PolicyKind::Fifo => {
-                self.clock += 1;
-                self.stamps[way] = self.clock;
-            }
-            PolicyKind::PseudoLru => self.touch_tree(way),
-        }
+        self.clock += 1;
+        self.stamps[way] = self.clock;
     }
 
     /// Picks the victim way among the occupied ways (`occupied[w]` true means
@@ -89,53 +67,12 @@ impl ReplState {
         if let Some(w) = occupied.iter().position(|o| !o) {
             return w;
         }
-        match self.kind {
-            PolicyKind::Lru | PolicyKind::Fifo => self
-                .stamps
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| **s)
-                .map(|(w, _)| w)
-                .expect("set has at least one way"),
-            PolicyKind::PseudoLru => self.tree_victim(),
-        }
-    }
-
-    fn touch_tree(&mut self, way: usize) {
-        // Walk from root to leaf, pointing each node *away* from `way`.
-        let ways = self.ways();
-        let mut node = 0;
-        let mut lo = 0;
-        let mut hi = ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way >= mid;
-            self.tree[node] = !go_right; // point away
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-
-    fn tree_victim(&self) -> usize {
-        let ways = self.ways();
-        let mut node = 0;
-        let mut lo = 0;
-        let mut hi = ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = self.tree[node];
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.stamps
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| **s)
+            .map(|(w, _)| w)
+            .expect("set has at least one way")
     }
 }
 
@@ -181,45 +118,6 @@ mod tests {
         s.on_fill(1);
         let occ = [true, true, false, true];
         assert_eq!(s.victim(&occ), 2);
-    }
-
-    #[test]
-    fn pseudo_lru_avoids_recently_touched() {
-        let mut s = ReplState::new(PolicyKind::PseudoLru, 8);
-        let occ = [true; 8];
-        for w in 0..8 {
-            s.on_fill(w);
-        }
-        s.on_access(3);
-        assert_ne!(s.victim(&occ), 3);
-        s.on_access(7);
-        assert_ne!(s.victim(&occ), 7);
-    }
-
-    #[test]
-    fn pseudo_lru_cycles_through_all_ways() {
-        // Filling the victim each time must eventually visit every way.
-        let mut s = ReplState::new(PolicyKind::PseudoLru, 4);
-        let occ = [true; 4];
-        for w in 0..4 {
-            s.on_fill(w);
-        }
-        let mut seen = [false; 4];
-        for _ in 0..16 {
-            let v = s.victim(&occ);
-            seen[v] = true;
-            s.on_fill(v);
-        }
-        assert!(
-            seen.iter().all(|&x| x),
-            "pLRU never visited some way: {seen:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn pseudo_lru_requires_power_of_two() {
-        let _ = ReplState::new(PolicyKind::PseudoLru, 6);
     }
 
     #[test]

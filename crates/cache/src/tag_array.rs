@@ -204,12 +204,6 @@ impl TagArray {
     pub fn entry(&self, line: LineAddr) -> Option<&TagEntry> {
         self.probe(line).map(|idx| &self.entries[idx])
     }
-
-    /// Number of ways a probe of `line`'s set must compare (all of them in
-    /// an exact cache — used for energy/latency accounting).
-    pub fn compares_per_probe(&self) -> usize {
-        self.ways
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! reproduces from its [`FuzzSpec`] alone — which is what the shrinker
 //! minimizes and the `.repro` files under `tests/repros/` pin.
 
-use fuse_core::config::{build_l1, L1Config, L1Preset};
+use fuse_core::config::{build_l1, L1Preset};
 use fuse_gpu::config::GpuConfig;
 use fuse_gpu::l1d::L1dModel;
 use fuse_gpu::system::GpuSystem;
@@ -94,7 +94,7 @@ impl FuzzSpec {
             l2_latency: 10,
             l2_mshr_entries: self.l2_pending,
             icnt_latency: 8,
-            icnt_flits_per_cycle: 4,
+            icnt_flits_per_cycle: 5,
             dram_channels: 2,
             dram: DramTiming {
                 banks: 4,
@@ -109,11 +109,7 @@ impl FuzzSpec {
     }
 
     fn build_l1(&self) -> Box<dyn L1dModel> {
-        let l1 = self.preset.l1().map(|cfg| L1Config {
-            mshr_entries: self.mshr_entries,
-            ..cfg
-        });
-        let (model, _) = build_l1(l1.as_ref());
+        let (model, _) = build_l1(self.preset.l1().as_ref(), Some(self.mshr_entries));
         model()
     }
 
@@ -199,11 +195,28 @@ mod tests {
                 "seed {seed} ({spec:?}) diverged: {:?}",
                 report.violations
             );
-            assert!(
-                report.skip_stats.instructions > 0,
-                "seed {seed} executed nothing"
+            assert_eq!(
+                report.skip_stats.instructions,
+                (spec.sms * spec.warps * spec.ops) as u64,
+                "seed {seed} did not retire every instruction"
             );
         }
+    }
+
+    #[test]
+    fn oracle_cases_honour_mshr_entries() {
+        let spec = (0..)
+            .map(FuzzSpec::from_seed)
+            .find(|s| s.preset == L1Preset::Oracle)
+            .expect("some seed draws the Oracle");
+        let stats = |mshr_entries| {
+            run_case(&FuzzSpec {
+                mshr_entries,
+                ..spec
+            })
+            .skip_stats
+        };
+        assert_ne!(stats(1), stats(16), "{spec:?}");
     }
 
     #[test]

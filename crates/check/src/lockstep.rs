@@ -2,7 +2,9 @@
 //! event ("skip") engine, once on the always-tick reference ("tick")
 //! engine — each with a reference-model [`Oracle`] attached, then diffed
 //! three ways: oracle violations, bitwise statistics, and the full event
-//! stream modulo skip markers.
+//! stream modulo skip markers. Every run must also drain: one that hits
+//! its cycle cap first is a violation, because a deadlocked machine
+//! passes every other check.
 
 use fuse_core::config::L1Preset;
 use fuse_gpu::check::CheckEvent;
@@ -34,7 +36,9 @@ impl LockstepReport {
     }
 }
 
-fn run_one(mut sys: GpuSystem, skip: bool, max_cycles: u64) -> (SimStats, Oracle) {
+/// Runs `sys` on one engine under an oracle; the flag says whether it
+/// drained before `max_cycles`.
+fn run_one(mut sys: GpuSystem, skip: bool, max_cycles: u64) -> (SimStats, Oracle, bool) {
     sys.set_cycle_skipping(skip);
     sys.attach_check_sink(Box::new(Oracle::new(sys.config(), true)));
     let stats = sys.run(max_cycles);
@@ -44,8 +48,9 @@ fn run_one(mut sys: GpuSystem, skip: bool, max_cycles: u64) -> (SimStats, Oracle
         .downcast_ref::<Oracle>()
         .expect("sink is the oracle")
         .clone();
-    oracle.finalize(&sys, sys.is_done());
-    (stats, oracle)
+    let drained = sys.is_done();
+    oracle.finalize(&sys, drained);
+    (stats, oracle, drained)
 }
 
 /// Runs the system `build` yields twice (skip vs. tick engine) under
@@ -55,10 +60,17 @@ pub fn run_lockstep<F>(mut build: F, max_cycles: u64) -> LockstepReport
 where
     F: FnMut() -> GpuSystem,
 {
-    let (skip_stats, skip_oracle) = run_one(build(), true, max_cycles);
-    let (tick_stats, tick_oracle) = run_one(build(), false, max_cycles);
+    let (skip_stats, skip_oracle, skip_drained) = run_one(build(), true, max_cycles);
+    let (tick_stats, tick_oracle, tick_drained) = run_one(build(), false, max_cycles);
 
     let mut violations = Vec::new();
+    for (engine, drained) in [("skip", skip_drained), ("tick", tick_drained)] {
+        if !drained {
+            violations.push(format!(
+                "{engine} engine: the machine did not drain within {max_cycles} cycles"
+            ));
+        }
+    }
     for v in skip_oracle.violations() {
         violations.push(format!("skip engine: {v}"));
     }
@@ -208,5 +220,23 @@ mod tests {
             assert!(report.events_compared > 0, "streams were not empty");
             assert_eq!(report.skip_stats, report.tick_stats);
         }
+    }
+
+    #[test]
+    fn a_run_that_hits_its_cycle_cap_is_a_violation() {
+        let gpu = GpuConfig {
+            num_sms: 2,
+            warps_per_sm: 8,
+            ..GpuConfig::gtx480()
+        };
+        let w = by_name("ATAX").expect("workload exists");
+        let report = check_workload(&w, L1Preset::L1Sram, &gpu, 32, 100);
+        assert_eq!(
+            report.violations,
+            [
+                "skip engine: the machine did not drain within 100 cycles",
+                "tick engine: the machine did not drain within 100 cycles",
+            ]
+        );
     }
 }

@@ -2,7 +2,6 @@
 //! (Fig. 18).
 
 use fuse_cache::approx_assoc::ApproxConfig;
-use fuse_cache::replacement::PolicyKind;
 use fuse_gpu::l1d::{IdealL1, L1dModel};
 use fuse_mem::tech::BankParams;
 use fuse_predict::dead_write::DeadWriteConfig;
@@ -32,19 +31,6 @@ impl SttOrganization {
             SttOrganization::Approximate(c) => c.lines,
         }
     }
-}
-
-/// L1D write policy (§VI): the paper argues real GPU L1Ds are write-back
-/// with synchronisation-based consistency, while some prior work assumed
-/// write-through; both are available for comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WritePolicy {
-    /// Dirty lines written back on eviction (the paper's choice).
-    #[default]
-    WriteBack,
-    /// Every store is also forwarded to L2 (prior-work assumption
-    /// \[46\], \[17\]); lines are never dirty.
-    WriteThrough,
 }
 
 /// Block-placement policy between the banks.
@@ -110,31 +96,26 @@ impl Default for NonBlocking {
     }
 }
 
-/// A fully-specified L1D configuration.
+/// A fully-specified L1D configuration. Every L1 is write-back (§VI),
+/// replaces LRU in its SRAM bank and FIFO in a set-associative STT bank
+/// (§V: "the circuit complexity of LRU is not affordable"; the
+/// approximate organisation is FIFO by construction), and merges up to
+/// [`MSHR_TARGETS`](fuse_gpu::l1d::MSHR_TARGETS) requesters per MSHR
+/// entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct L1Config {
     /// SRAM bank, if present.
     pub sram: Option<SramGeometry>,
     /// STT-MRAM bank, if present.
     pub stt: Option<SttGeometry>,
-    /// SRAM replacement policy (paper/GPGPU-Sim default: LRU).
-    pub sram_policy: PolicyKind,
-    /// Set-associative STT replacement policy (paper: FIFO, §V — "the
-    /// circuit complexity of LRU is not affordable"; the approximate
-    /// organisation is inherently FIFO and ignores this field).
-    pub stt_policy: PolicyKind,
     /// Placement policy.
     pub placement: Placement,
-    /// Write policy (§VI; default write-back).
-    pub write_policy: WritePolicy,
     /// DASCA-style dead-write bypass (By-NVM only).
     pub dead_write_bypass: Option<DeadWriteConfig>,
     /// Swap buffer + tag queue, if the configuration is non-blocking.
     pub non_blocking: Option<NonBlocking>,
-    /// MSHR entries.
+    /// MSHR entries (Table I: 32).
     pub mshr_entries: usize,
-    /// Merged requesters per MSHR entry.
-    pub mshr_targets: usize,
 }
 
 impl L1Config {
@@ -229,14 +210,10 @@ impl L1Preset {
         let base = |sram, stt| L1Config {
             sram,
             stt,
-            sram_policy: PolicyKind::Lru,
-            stt_policy: PolicyKind::Fifo,
             placement: Placement::SramFirst,
-            write_policy: WritePolicy::WriteBack,
             dead_write_bypass: None,
             non_blocking: None,
             mshr_entries: 32,
-            mshr_targets: 8,
         };
         let sram_32k_4w = SramGeometry {
             sets: 64,
@@ -306,15 +283,14 @@ impl L1Preset {
 
     /// Builds a ready-to-plug L1D model ([`build_l1`] of [`L1Preset::l1`]).
     pub fn build_model(self) -> Box<dyn L1dModel> {
-        let l1 = self.l1();
-        let (model, _) = build_l1(l1.as_ref());
+        let (model, _) = build_l1(self.l1().as_ref(), None);
         model()
     }
 
     /// Bank parameters for the energy model ([`build_l1`] of
     /// [`L1Preset::l1`]).
     pub fn energy_banks(self) -> EnergyBanks {
-        build_l1(self.l1().as_ref()).1
+        build_l1(self.l1().as_ref(), None).1
     }
 }
 
@@ -326,15 +302,26 @@ pub type EnergyBanks = (Option<BankParams>, Option<BankParams>);
 /// model, and the (SRAM, STT) banks the energy model prices it by. A
 /// configuration builds a [`FuseL1`]; `None` builds the Oracle's
 /// unbounded [`IdealL1`], priced as the 32 KB SRAM baseline it idealises.
-/// This is the one place the Oracle is told apart from a finite L1.
-pub fn build_l1(l1: Option<&L1Config>) -> (Box<dyn Fn() -> Box<dyn L1dModel> + '_>, EnergyBanks) {
+/// `mshr_entries` resizes either model's MSHR (the fuzz machine's
+/// structural-pressure knob); `None` keeps the column's own. This is the
+/// one place the Oracle is told apart from a finite L1.
+pub fn build_l1(
+    l1: Option<&L1Config>,
+    mshr_entries: Option<usize>,
+) -> (Box<dyn Fn() -> Box<dyn L1dModel>>, EnergyBanks) {
     match l1 {
-        Some(cfg) => (
-            Box::new(move || Box::new(FuseL1::new(cfg.clone()))),
-            (cfg.sram.map(|s| s.params), cfg.stt.map(|s| s.params)),
-        ),
+        Some(cfg) => {
+            let cfg = L1Config {
+                mshr_entries: mshr_entries.unwrap_or(cfg.mshr_entries),
+                ..cfg.clone()
+            };
+            let banks = (cfg.sram.map(|s| s.params), cfg.stt.map(|s| s.params));
+            (Box::new(move || Box::new(FuseL1::new(cfg.clone()))), banks)
+        }
         None => (
-            Box::new(|| Box::new(IdealL1::new())),
+            Box::new(move || {
+                Box::new(mshr_entries.map_or_else(IdealL1::new, IdealL1::with_mshr_entries))
+            }),
             (Some(BankParams::sram_32kb()), None),
         ),
     }
@@ -389,19 +376,12 @@ pub fn dy_fuse_with_ratio(sram_num: u64, sram_den: u64) -> L1Config {
             ways,
             params: BankParams::sram_for_capacity(sram_bytes),
         }),
-        sram_policy: PolicyKind::Lru,
-        stt_policy: PolicyKind::Fifo,
-        write_policy: WritePolicy::WriteBack,
         stt: Some(SttGeometry {
             organization: SttOrganization::Approximate(approx),
             params: BankParams::stt_for_capacity(stt_bytes.max(1)),
             refresh: None,
         }),
-        placement: Placement::Predictor(ReadLevelConfig::default()),
-        dead_write_bypass: None,
-        non_blocking: Some(NonBlocking::default()),
-        mshr_entries: 32,
-        mshr_targets: 8,
+        ..L1Preset::DyFuse.config()
     }
 }
 

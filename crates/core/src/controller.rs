@@ -26,18 +26,21 @@ use fuse_cache::approx_assoc::ApproxAssocStore;
 use fuse_cache::hash::FxHashMap;
 use fuse_cache::line::LineAddr;
 use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
+use fuse_cache::replacement::PolicyKind;
 
 use fuse_cache::stats::CacheStats;
 use fuse_cache::swap_buffer::{SwapBuffer, SwapEntry};
 use fuse_cache::tag_array::{TagArray, TagEntry};
 use fuse_cache::tag_queue::{TagCmd, TagCmdKind, TagQueue};
-use fuse_gpu::l1d::{L1Access, L1Outcome, L1Response, L1dModel, OutgoingKind, OutgoingReq};
+use fuse_gpu::l1d::{
+    L1Access, L1Outcome, L1Response, L1dModel, OutgoingKind, OutgoingReq, MSHR_TARGETS,
+};
 use fuse_mem::energy::EnergyCounters;
 use fuse_predict::class::ReadLevel;
 use fuse_predict::dead_write::DeadWritePredictor;
 use fuse_predict::read_level::ReadLevelPredictor;
 
-use crate::config::{L1Config, Placement, RefreshSpec, SttOrganization, WritePolicy};
+use crate::config::{L1Config, Placement, RefreshSpec, SttOrganization};
 use crate::metrics::L1Metrics;
 
 /// Aux-word packing: bits 0–1 read-level class, 2–7 writes-while-resident
@@ -111,10 +114,10 @@ impl FuseL1 {
         let sram = cfg
             .sram
             .as_ref()
-            .map(|g| TagArray::new(g.sets, g.ways, cfg.sram_policy));
+            .map(|g| TagArray::new(g.sets, g.ways, PolicyKind::Lru));
         let stt = cfg.stt.as_ref().map(|g| match g.organization {
             SttOrganization::SetAssoc { sets, ways } => {
-                SttStore::SetAssoc(TagArray::new(sets, ways, cfg.stt_policy))
+                SttStore::SetAssoc(TagArray::new(sets, ways, PolicyKind::Fifo))
             }
             SttOrganization::Approximate(a) => SttStore::Approx(ApproxAssocStore::new(a)),
         });
@@ -137,7 +140,7 @@ impl FuseL1 {
             None => (None, None),
         };
         FuseL1 {
-            mshr: Mshr::new(cfg.mshr_entries, cfg.mshr_targets),
+            mshr: Mshr::new(cfg.mshr_entries, MSHR_TARGETS),
             sram,
             stt,
             stt_read_lat,
@@ -335,17 +338,12 @@ impl FuseL1 {
                 self.metrics.migrations_to_sram += 1;
                 self.stats.hits += 1;
                 self.energy.sram_writes += 1;
-                let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
-                if write_through {
-                    self.push_outgoing(acc.line, OutgoingKind::WriteThrough);
-                }
                 let aux = aux_bump_write(entry.aux);
-                let dirty = entry.dirty || !write_through;
                 let evicted = self
                     .sram
                     .as_mut()
                     .expect("migrate_to_sram requires SRAM")
-                    .fill(acc.line, dirty, aux);
+                    .fill(acc.line, true, aux);
                 if let Some(victim) = evicted {
                     self.evict_from_sram(now, victim);
                 }
@@ -353,23 +351,13 @@ impl FuseL1 {
             }
             // In-place write update (flushes the queue when present).
             self.stats.hits += 1;
-            let dirty = self.cfg.write_policy == WritePolicy::WriteBack;
-            match self.stt.as_mut().expect("probed") {
-                SttStore::SetAssoc(tags) => {
-                    let e = tags.touch(acc.line).expect("probed entry exists");
-                    e.dirty = dirty;
-                    e.aux = aux_bump_write(e.aux);
-                }
-                SttStore::Approx(store) => {
-                    let e = store.entry_mut(slot_or_idx);
-                    e.dirty = dirty;
-                    e.aux = aux_bump_write(e.aux);
-                }
-            }
+            let e = match self.stt.as_mut().expect("probed") {
+                SttStore::SetAssoc(tags) => tags.touch(acc.line).expect("probed entry exists"),
+                SttStore::Approx(store) => store.entry_mut(slot_or_idx),
+            };
+            e.dirty = true;
+            e.aux = aux_bump_write(e.aux);
             self.stt_write_update(now);
-            if !dirty {
-                self.push_outgoing(acc.line, OutgoingKind::WriteThrough);
-            }
             return Ok(Some(L1Outcome::StoreAccepted));
         }
 
@@ -485,12 +473,9 @@ impl FuseL1 {
             if let Some(e) = sram.touch(acc.line) {
                 self.stats.hits += 1;
                 if acc.is_store {
-                    e.dirty = self.cfg.write_policy == WritePolicy::WriteBack;
+                    e.dirty = true;
                     e.aux = aux_bump_write(e.aux);
                     self.energy.sram_writes += 1;
-                    if self.cfg.write_policy == WritePolicy::WriteThrough {
-                        self.push_outgoing(acc.line, OutgoingKind::WriteThrough);
-                    }
                     return L1Outcome::StoreAccepted;
                 }
                 self.energy.sram_reads += 1;
@@ -504,13 +489,9 @@ impl FuseL1 {
                 self.stats.hits += 1;
                 self.energy.sram_reads += 1; // register-file read
                 if acc.is_store {
-                    let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
                     let e = swap.entry_mut(acc.line).expect("contains checked");
-                    e.dirty = !write_through;
+                    e.dirty = true;
                     e.aux = aux_bump_write(e.aux);
-                    if write_through {
-                        self.push_outgoing(acc.line, OutgoingKind::WriteThrough);
-                    }
                     return L1Outcome::StoreAccepted;
                 }
                 return L1Outcome::HitNow;
@@ -542,11 +523,7 @@ impl FuseL1 {
             .unwrap_or(ReadLevel::Neutral);
         let store_count = targets.iter().filter(|t| t.is_store).count() as u32;
         let sig = targets.first().map(|t| t.pc_sig).unwrap_or(0);
-        let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
-        if write_through && store_count > 0 {
-            self.push_outgoing(rsp.line, OutgoingKind::WriteThrough);
-        }
-        let fill_dirty = store_count > 0 && !write_through;
+        let fill_dirty = store_count > 0;
         match dest {
             FillDest::Bypass => {}
             FillDest::Sram => {

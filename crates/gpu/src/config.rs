@@ -1,7 +1,11 @@
 //! GPU system configuration and the paper's two machine presets.
 
-use crate::sm::SchedulerPolicy;
+use crate::icnt::Packet;
+use crate::l1d::OutgoingKind;
 use fuse_mem::dram::DramTiming;
+
+/// Threads per warp (32, fixed by the CUDA model).
+pub const THREADS_PER_WARP: usize = 32;
 
 /// Whole-GPU configuration (Table I, "General Configuration" column).
 #[derive(Debug, Clone, PartialEq)]
@@ -10,12 +14,6 @@ pub struct GpuConfig {
     pub num_sms: usize,
     /// Resident warps per SM (paper: 48).
     pub warps_per_sm: usize,
-    /// Threads per warp (32 — fixed by the CUDA model).
-    pub threads_per_warp: usize,
-    /// L1 MSHR entries per SM.
-    pub mshr_entries: usize,
-    /// Merged requesters per MSHR entry.
-    pub mshr_targets: usize,
     /// L2 slices (paper: 12, two per DRAM channel).
     pub l2_banks: usize,
     /// Sets per L2 slice (786 KB / 12 slices / 8 ways / 128 B = 64).
@@ -37,8 +35,6 @@ pub struct GpuConfig {
     pub dram: DramTiming,
     /// Core clock in GHz (for energy conversion only).
     pub clock_ghz: f64,
-    /// Warp scheduling policy (GPGPU-Sim default GTO, or loose RR).
-    pub scheduler: SchedulerPolicy,
     /// Warp throttling à la CCWS [Rogers et al., MICRO 2012] — at most this
     /// many warps run concurrently per SM; retired warps release slots.
     /// `None` runs all resident warps (the paper's FUSE position: keep
@@ -54,9 +50,6 @@ impl GpuConfig {
         GpuConfig {
             num_sms: 15,
             warps_per_sm: 48,
-            threads_per_warp: 32,
-            mshr_entries: 32,
-            mshr_targets: 8,
             l2_banks: 12,
             l2_sets: 64,
             l2_ways: 8,
@@ -70,7 +63,6 @@ impl GpuConfig {
                 ..DramTiming::default()
             },
             clock_ghz: 0.7,
-            scheduler: SchedulerPolicy::Lrr,
             active_warp_limit: None,
         }
     }
@@ -81,9 +73,6 @@ impl GpuConfig {
         GpuConfig {
             num_sms: 84,
             warps_per_sm: 64,
-            threads_per_warp: 32,
-            mshr_entries: 64,
-            mshr_targets: 8,
             l2_banks: 24,
             l2_sets: 256,
             l2_ways: 8,
@@ -97,14 +86,13 @@ impl GpuConfig {
                 ..DramTiming::default()
             },
             clock_ghz: 1.4,
-            scheduler: SchedulerPolicy::Lrr,
             active_warp_limit: None,
         }
     }
 
     /// Total resident threads (paper: 1536 per SM on the Fermi preset).
     pub fn threads_per_sm(&self) -> usize {
-        self.warps_per_sm * self.threads_per_warp
+        self.warps_per_sm * THREADS_PER_WARP
     }
 
     /// L2 slice index for a line (fine-grained interleave).
@@ -123,7 +111,8 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics on inconsistent geometry (zero SMs/warps, L2 banks not a
-    /// multiple of DRAM channels, non-power-of-two L2 sets).
+    /// multiple of DRAM channels, non-power-of-two L2 sets), or an
+    /// interconnect narrower than its largest packet.
     pub fn validate(&self) {
         assert!(
             self.num_sms > 0 && self.warps_per_sm > 0,
@@ -134,7 +123,6 @@ impl GpuConfig {
             "warp indices are u16 throughout the engine (LSU slots, MSHR \
              targets): more than 65535 warps per SM would alias"
         );
-        assert!(self.threads_per_warp == 32, "CUDA warps have 32 lanes");
         assert!(
             self.l2_banks.is_multiple_of(self.dram_channels),
             "L2 banks must spread evenly over DRAM channels"
@@ -146,6 +134,13 @@ impl GpuConfig {
         if let Some(limit) = self.active_warp_limit {
             assert!(limit > 0, "warp throttling needs at least one active warp");
         }
+        // A packet injects only whole within one cycle's flit budget, so
+        // a narrower network would hold its first data packet forever.
+        let widest = Packet::RESPONSE_FLITS.max(Packet::request_flits(OutgoingKind::WriteThrough));
+        assert!(
+            self.icnt_flits_per_cycle >= widest,
+            "the interconnect must inject a {widest}-flit data packet in one cycle"
+        );
     }
 }
 
@@ -182,6 +177,16 @@ mod tests {
         assert!(v.dram_channels > f.dram_channels);
         // 24 banks x 256 sets x 8 ways x 128 B = 6 MB L2.
         assert_eq!(v.l2_banks * v.l2_sets * v.l2_ways * 128, 6 * 1024 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "5-flit data packet")]
+    fn interconnect_narrower_than_a_data_packet_is_rejected() {
+        GpuConfig {
+            icnt_flits_per_cycle: 4,
+            ..GpuConfig::gtx480()
+        }
+        .validate();
     }
 
     #[test]

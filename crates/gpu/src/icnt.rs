@@ -160,13 +160,6 @@ impl Interconnect {
         self.inject.is_empty() && self.in_flight.is_empty()
     }
 
-    /// Packets accepted but not yet delivered, both waiting to inject and
-    /// traversing the network (checker introspection: together with the
-    /// trace slab and L2 queues this closes the in-flight books).
-    pub fn in_flight_packets(&self) -> usize {
-        self.inject.len() + self.in_flight.len()
-    }
-
     /// Earliest cycle at or after `now` whose tick does observable work:
     /// `now` while the injection queue is non-empty (injection is
     /// attempted every cycle and the queue-depth statistic accrues), else

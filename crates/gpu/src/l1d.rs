@@ -18,6 +18,9 @@ use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
 use fuse_cache::stats::CacheStats;
 use fuse_mem::energy::EnergyCounters;
 
+/// Merged requesters per L1 MSHR entry (Table I), on every L1 model.
+pub const MSHR_TARGETS: usize = 8;
+
 /// One coalesced line request from a warp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Access {
@@ -181,11 +184,21 @@ pub struct IdealL1 {
 }
 
 impl IdealL1 {
-    /// Creates an empty ideal cache (32-entry MSHR, as the baselines use).
+    /// Creates an empty ideal cache with Table I's 32-entry MSHR, as the
+    /// baselines use.
     pub fn new() -> Self {
+        Self::with_mshr_entries(32)
+    }
+
+    /// Creates an empty ideal cache with an `entries`-entry MSHR.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero.
+    pub fn with_mshr_entries(entries: usize) -> Self {
         IdealL1 {
             resident: FxHashSet::default(),
-            mshr: Mshr::new(32, 8),
+            mshr: Mshr::new(entries, MSHR_TARGETS),
             outgoing: Vec::new(),
             completions: Vec::new(),
             next_id: 0,

@@ -155,12 +155,6 @@ impl L2Bank {
         self.pending.len()
     }
 
-    /// Iterates the lines with an outstanding DRAM fill, in no
-    /// particular order (the backing table is a hash map).
-    pub fn pending_lines_iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.pending.keys().copied()
-    }
-
     /// Abandons queued and outstanding work, returning every pooled
     /// waiter node to the arena's free list. For a run that ends with
     /// misses still in flight; statistics are kept.

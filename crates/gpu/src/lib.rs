@@ -66,7 +66,6 @@ pub mod warp;
 pub use check::{CheckEvent, CheckSink};
 pub use config::GpuConfig;
 pub use l1d::{IdealL1, L1Access, L1Outcome, L1Response, L1dModel, OutgoingKind, OutgoingReq};
-pub use sm::SchedulerPolicy;
 pub use stats::SimStats;
 pub use system::GpuSystem;
 pub use warp::{MemOp, StreamProgram, WarpOp, WarpProgram};

@@ -10,32 +10,16 @@
 
 use std::collections::VecDeque;
 
-/// Line requests the L1 port accepts per cycle (128 B external bus feeding
-/// a 64 B-wide 2x-clocked internal bus — §III-A of the paper).
-pub const L1_PORT_WIDTH: usize = 2;
-
-/// Warp scheduling policy.
-///
-/// GPGPU-Sim's default is greedy-then-oldest (GTO): keep issuing from the
-/// same warp until it stalls, then fall back to the oldest ready warp —
-/// it preserves intra-warp locality, which matters for the L1D. Loose
-/// round-robin (LRR) maximises fairness and interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerPolicy {
-    /// Loose round-robin across ready warps.
-    #[default]
-    Lrr,
-    /// Greedy-then-oldest: stick with the last issuing warp while it is
-    /// ready, else pick the lowest-numbered (oldest) ready warp.
-    Gto,
-}
-
 use crate::coalesce::{coalesce_into, LineSet};
 use crate::convert::narrow;
 use crate::l1d::{L1Access, L1Outcome, L1dModel, OutgoingReq};
 use crate::warp::{WarpOp, WarpProgram};
 use fuse_cache::line::LineAddr;
 use fuse_obs::trace::{TraceEvent, TraceKind, TraceRing};
+
+/// Line requests the L1 port accepts per cycle (128 B external bus feeding
+/// a 64 B-wide 2x-clocked internal bus — §III-A of the paper).
+pub const L1_PORT_WIDTH: usize = 2;
 
 /// Per-SM execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,8 +61,6 @@ pub struct Sm {
     /// Warps `0..activated` may run; grows as throttled warps retire.
     activated: usize,
     warp_limit: usize,
-    policy: SchedulerPolicy,
-    last_issued: usize,
     /// Outstanding retirement obligations: one per unfinished warp, plus
     /// one per outstanding load and per pending line request. Zero iff
     /// every warp retired, making [`Sm::done`] O(1) so the engine can
@@ -163,8 +145,6 @@ impl Sm {
             completions: Vec::new(),
             activated: warp_limit.min(n),
             warp_limit,
-            policy: SchedulerPolicy::Lrr,
-            last_issued: 0,
             live: n as u64,
             lsu_warp: None,
             waiting_warps: 0,
@@ -174,11 +154,6 @@ impl Sm {
             wake_at: vec![0; n],
             coalesce_buf: LineSet::new(),
         }
-    }
-
-    /// Selects the warp scheduling policy (default: loose round-robin).
-    pub fn set_scheduler(&mut self, policy: SchedulerPolicy) {
-        self.policy = policy;
     }
 
     /// The SM's L1D (for configuration-specific metric extraction).
@@ -359,25 +334,12 @@ impl Sm {
             }
             return;
         }
-        // Phase B: fetch a new instruction from a ready warp, in
-        // policy-defined preference order. An empty candidate pool (every
-        // warp finished or blocked on memory) skips the scan outright.
+        // Phase B: fetch a new instruction from a ready warp, loose
+        // round-robin from the warp after the last issuer. An empty
+        // candidate pool (every warp finished or blocked on memory) skips
+        // the scan outright.
         for off in 0..if self.ready_warps > 0 { n } else { 0 } {
-            let wi = match self.policy {
-                SchedulerPolicy::Lrr => (self.rr + off) % n,
-                // GTO: the greedy warp first, then oldest-first over the
-                // rest (indices 0..n-1 with the greedy slot spliced out).
-                SchedulerPolicy::Gto => {
-                    let greedy = self.last_issued.min(n - 1);
-                    if off == 0 {
-                        greedy
-                    } else if off - 1 < greedy {
-                        off - 1
-                    } else {
-                        off
-                    }
-                }
-            };
+            let wi = (self.rr + off) % n;
             if self.wake_at[wi] > now {
                 continue; // finished, blocked on memory, or in compute delay
             }
@@ -395,7 +357,6 @@ impl Sm {
                     self.stats.issue_cycles += 1;
                     self.wake_at[wi] = now + cycles.max(1) as u64;
                     self.rr = (wi + 1) % n;
-                    self.last_issued = wi;
                     return;
                 }
                 Some(WarpOp::Mem(op)) => {
@@ -422,7 +383,6 @@ impl Sm {
                     self.lsu_warp = Some(narrow(wi));
                     self.issue_pending(now, wi);
                     self.rr = (wi + 1) % n;
-                    self.last_issued = wi;
                     return;
                 }
             }
@@ -668,63 +628,6 @@ mod tests {
     #[should_panic(expected = "at least one warp")]
     fn empty_sm_rejected() {
         let _ = Sm::new(Box::new(IdealL1::new()), vec![]);
-    }
-
-    #[test]
-    fn gto_scheduler_sticks_with_the_greedy_warp() {
-        // Two warps of computes: GTO must run warp 0 to completion before
-        // touching warp 1 (all its ops are back-to-back ready).
-        let mk = |n: usize| {
-            Box::new(StreamProgram::new(vec![WarpOp::Compute { cycles: 1 }; n]))
-                as Box<dyn WarpProgram>
-        };
-        let mut sm = Sm::new(Box::new(IdealL1::new()), vec![mk(3), mk(3)]);
-        sm.set_scheduler(SchedulerPolicy::Gto);
-        for now in 0..20 {
-            sm.tick(now);
-            if sm.done() {
-                break;
-            }
-        }
-        assert!(sm.done());
-        assert_eq!(sm.stats().instructions, 6);
-    }
-
-    #[test]
-    fn gto_and_lrr_retire_identical_work() {
-        let run = |policy: SchedulerPolicy| {
-            let mk = || {
-                Box::new(StreamProgram::new(vec![
-                    mem(0x10, 0x100, false),
-                    WarpOp::Compute { cycles: 2 },
-                    mem(0x14, 0x2000, true),
-                ])) as Box<dyn WarpProgram>
-            };
-            let mut sm = Sm::new(Box::new(IdealL1::new()), vec![mk(), mk(), mk()]);
-            sm.set_scheduler(policy);
-            for now in 0..500 {
-                sm.tick(now);
-                let mut out = Vec::new();
-                sm.drain_outgoing(&mut out);
-                for r in out {
-                    if r.kind.expects_response() {
-                        sm.push_response(
-                            now,
-                            crate::l1d::L1Response {
-                                id: r.id,
-                                line: r.line,
-                            },
-                        );
-                    }
-                }
-                if sm.done() {
-                    break;
-                }
-            }
-            assert!(sm.done());
-            sm.stats().instructions
-        };
-        assert_eq!(run(SchedulerPolicy::Lrr), run(SchedulerPolicy::Gto));
     }
 
     #[test]

@@ -168,9 +168,7 @@ impl GpuSystem {
                     .map(|w| program_factory(s, narrow(w)))
                     .collect();
                 let limit = cfg.active_warp_limit.unwrap_or(cfg.warps_per_sm);
-                let mut sm = Sm::with_warp_limit(l1_factory(s), programs, limit);
-                sm.set_scheduler(cfg.scheduler);
-                sm
+                Sm::with_warp_limit(l1_factory(s), programs, limit)
             })
             .collect();
         let l2 = (0..cfg.l2_banks)
@@ -408,15 +406,6 @@ impl GpuSystem {
         &self.l2[bank]
     }
 
-    /// Read access to a DRAM channel (checker introspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn dram_channel(&self, channel: usize) -> &DramChannel {
-        &self.dram[channel]
-    }
-
     /// Read access to an SM (checker introspection).
     ///
     /// # Panics
@@ -512,7 +501,10 @@ impl GpuSystem {
 
     /// True once all warps retired and no request is in flight anywhere.
     /// O(number of components): every term is a counter comparison, so the
-    /// run loop affords calling this every cycle.
+    /// run loop affords calling this every cycle. The L1 MSHR term comes
+    /// last: a blocking L1 can still hold a delivered store-miss fill
+    /// that waits for its STT bank after everything else has drained,
+    /// and placed last the term costs nothing until then.
     pub fn is_done(&self) -> bool {
         self.sms.iter().all(|sm| sm.done())
             && self.req_net.is_idle()
@@ -521,6 +513,7 @@ impl GpuSystem {
             && self.pending_dram_total == 0
             && self.l2.iter().all(|b| b.is_idle())
             && self.dram.iter().all(|c| c.occupancy() == 0)
+            && self.sms.iter().all(|sm| sm.outstanding_misses() == 0)
     }
 
     /// The earliest cycle at or after `now` at which *any* component does

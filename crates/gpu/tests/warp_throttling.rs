@@ -1,8 +1,7 @@
-//! System-level tests of the scheduler policies and warp throttling.
+//! System-level tests of warp throttling.
 
 use fuse_gpu::config::GpuConfig;
 use fuse_gpu::l1d::IdealL1;
-use fuse_gpu::sm::SchedulerPolicy;
 use fuse_gpu::system::GpuSystem;
 use fuse_gpu::warp::{MemOp, StreamProgram, WarpOp, WarpProgram};
 
@@ -30,50 +29,6 @@ fn run(cfg: GpuConfig) -> fuse_gpu::stats::SimStats {
     let stats = sys.run(5_000_000);
     assert!(sys.is_done(), "system must drain");
     stats
-}
-
-#[test]
-fn gto_and_lrr_execute_the_same_program() {
-    let base = GpuConfig {
-        num_sms: 2,
-        warps_per_sm: 6,
-        ..GpuConfig::gtx480()
-    };
-    let lrr = run(GpuConfig {
-        scheduler: SchedulerPolicy::Lrr,
-        ..base.clone()
-    });
-    let gto = run(GpuConfig {
-        scheduler: SchedulerPolicy::Gto,
-        ..base
-    });
-    assert_eq!(lrr.instructions, gto.instructions);
-    // Same memory footprint: identical cold misses through an ideal L1.
-    assert_eq!(lrr.l1.misses, gto.l1.misses);
-    // Schedules differ, so cycle counts may; both complete.
-    assert!(lrr.cycles > 0 && gto.cycles > 0);
-}
-
-#[test]
-fn gto_preserves_intra_warp_locality_at_least_as_well() {
-    // With per-warp private hot lines, GTO's greedy reuse cannot produce
-    // more L1 misses than LRR on an ideal (capacity-free) L1 — and both
-    // must see every distinct line exactly once.
-    let base = GpuConfig {
-        num_sms: 1,
-        warps_per_sm: 8,
-        ..GpuConfig::gtx480()
-    };
-    let lrr = run(GpuConfig {
-        scheduler: SchedulerPolicy::Lrr,
-        ..base.clone()
-    });
-    let gto = run(GpuConfig {
-        scheduler: SchedulerPolicy::Gto,
-        ..base
-    });
-    assert_eq!(lrr.l1.misses, 8 * 8, "8 warps x 8 distinct lines");
-    assert_eq!(gto.l1.misses, 8 * 8);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! A [`CellKey`] digests **everything** that can change a cell's
 //! simulation outcome: the full workload spec, the full machine
 //! configuration, the full L1D configuration, the resolved instruction
-//! budget and the engine's semantic version + feature-flag fingerprint.
+//! budget and the engine's semantic version.
 //! The engine selection (event engine or always-tick reference) is not
 //! part of the key: both produce the same [`crate::record::CellRecord`].
 //! Two processes, two machines or two months apart, the same inputs
@@ -45,15 +45,7 @@ use fuse_workloads::spec::WorkloadSpec;
 /// reordered tick phase. The PR checklist item is one constant edit; the
 /// reward is that stale hits across engine revisions are structurally
 /// impossible.
-pub const ENGINE_VERSION: &str = "fuse-engine-v7";
-
-/// Engine-visible compile-time feature flags, embedded in every key.
-///
-/// The workspace currently compiles the engine identically under every
-/// feature combination (the `proptest` feature only gates test files), so
-/// the list is empty — but the slot exists so a future semantics-bearing
-/// feature joins the key by adding one string here.
-pub const ENGINE_FEATURES: &[&str] = &[];
+pub const ENGINE_VERSION: &str = "fuse-engine-v8";
 
 /// Everything that determines one cell's outcome.
 #[derive(Debug, Clone, Copy)]
@@ -109,9 +101,8 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v4\n");
+    s.push_str("fuse-cell-key-v5\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
-    s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
@@ -180,7 +171,7 @@ mod tests {
         let l1 = L1Preset::DyFuse.config();
         let k = CellKey::derive(&parts(&w, &gpu, &l1));
         for needle in [
-            "fuse-cell-key-v4\n",
+            "fuse-cell-key-v5\n",
             ENGINE_VERSION,
             "ops_per_warp=1000",
             "max_cycles=1000000",

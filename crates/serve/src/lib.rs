@@ -12,8 +12,7 @@
 //! engine entirely (DESIGN.md §3h):
 //!
 //! * [`key`] — [`key::CellKey`]: a content digest over (workload spec,
-//!   machine config, L1 configuration, engine version + feature flags,
-//!   budget). Any field change invalidates; nothing else does — the
+//!   machine config, L1 configuration, engine version, budget). Any field change invalidates; nothing else does — the
 //!   engine selection included, since both engines produce the same
 //!   record.
 //! * [`record`] — [`record::CellRecord`]: the engine-independent outcome
@@ -52,7 +51,7 @@ pub mod store;
 pub mod transport;
 
 pub use client::ClientConfig;
-pub use key::{CellKey, KeyParts, ENGINE_FEATURES, ENGINE_VERSION};
+pub use key::{CellKey, KeyParts, ENGINE_VERSION};
 pub use record::CellRecord;
 pub use server::{CellBackend, ServeOptions, Server, ServerConfig};
 pub use store::{CacheStatsSnapshot, ResultCache, VerifyOutcome};

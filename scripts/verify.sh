@@ -60,12 +60,12 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-# Differential smoke: run the event engine and the always-tick reference
+# Differential check: run the event engine and the always-tick reference
 # in lockstep under the fuse-check reference-model oracle over the full
-# workload grid plus a short fixed fuzz sweep. Exits non-zero on any
-# divergence (DESIGN.md §3f).
-echo "==> fusesim check (oracle lockstep grid + fuzz smoke)"
-./target/release/fusesim check --seeds 16 --quiet
+# workload grid plus 512 fuzz seeds (about a second: every case drains).
+# Exits non-zero on any divergence or undrained run (DESIGN.md §3f).
+echo "==> fusesim check (oracle lockstep grid + 512 fuzz seeds)"
+./target/release/fusesim check --seeds 512 --quiet
 
 # Result-cache round trip: the fig13 acceptance grid (21 workloads x
 # {L1-SRAM, Dy-FUSE}) cold then warm into a fresh cache directory. The

@@ -26,7 +26,8 @@ use fuse_cache::approx_assoc::ApproxConfig;
 use fuse_core::config::{
     dy_fuse_with_ratio, edram_dy_fuse, L1Config, L1Preset, NonBlocking, Placement, SttOrganization,
 };
-use fuse_gpu::{coalesce::coalesce, config::GpuConfig, warp::WarpOp};
+use fuse_gpu::config::{GpuConfig, THREADS_PER_WARP};
+use fuse_gpu::{coalesce::coalesce, warp::WarpOp};
 use fuse_mem::area::{
     data_array_cell_area_f2, dy_fuse_area, l1_sram_area, paper_table3, AreaReport,
 };
@@ -1051,7 +1052,7 @@ fn table1() -> [Table; 2] {
     for (parameter, value, paper) in [
         ("SMs", g.num_sms.to_string(), "15"),
         ("warps/SM", g.warps_per_sm.to_string(), "48"),
-        ("threads/warp", g.threads_per_warp.to_string(), "32"),
+        ("threads/warp", THREADS_PER_WARP.to_string(), "32"),
         ("threads/SM", g.threads_per_sm().to_string(), "1536"),
         ("L2 banks", g.l2_banks.to_string(), "12"),
         ("L2 size", format!("{l2_kb} KB"), "786 KB"),

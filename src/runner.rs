@@ -283,7 +283,7 @@ pub fn run_l1_config(
     rc: &RunConfig,
 ) -> RunResult {
     let ops = rc.ops_for(spec);
-    let (model, (sram, stt)) = build_l1(l1);
+    let (model, (sram, stt)) = build_l1(l1, None);
     let mut sys = GpuSystem::new(
         rc.gpu.clone(),
         |_| model(),

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fuse_core::config::{L1Config, L1Preset};
+use fuse_obs::json::{escape, format_f64};
 use fuse_serve::store::ResultCache;
 use fuse_workloads::spec::WorkloadSpec;
 
@@ -425,17 +426,17 @@ impl SweepReport {
             "{{\"name\":{},\"engine\":{},\"threads\":{},{}\"grid\":[{},{}],\"wall_ms\":{},\
              \"serial_estimate_ms\":{},\"speedup_vs_serial\":{},\
              \"sim_cycles\":{},\"sim_cycles_per_sec\":{},\"cells\":[",
-            json_str(&self.name),
-            json_str(&self.engine),
+            escape(&self.name),
+            escape(&self.engine),
             self.threads,
             cache,
             self.workloads.len(),
             self.configs.len(),
-            json_f64(self.wall_ns as f64 / 1e6, 3),
-            json_f64(self.serial_estimate_ns() as f64 / 1e6, 3),
-            json_f64(self.speedup_vs_serial(), 3),
+            format_f64(self.wall_ns as f64 / 1e6, 3),
+            format_f64(self.serial_estimate_ns() as f64 / 1e6, 3),
+            format_f64(self.speedup_vs_serial(), 3),
             self.sim_cycles_total(),
-            json_f64(self.sim_cycles_per_sec(), 0),
+            format_f64(self.sim_cycles_per_sec(), 0),
         ));
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
@@ -447,17 +448,17 @@ impl SweepReport {
                 "{{\"workload\":{},\"config\":{},\"wall_ms\":{},\"cycles\":{},\
                  \"cycles_per_sec\":{},\"ipc\":{},\"skipped\":{},\"skipped_frac\":{},\
                  \"stall_frac\":{},\"stall_net\":{},\"stall_mem\":{}}}",
-                json_str(&r.workload),
-                json_str(&r.config),
-                json_f64(cell.wall_ns as f64 / 1e6, 3),
+                escape(&r.workload),
+                escape(&r.config),
+                format_f64(cell.wall_ns as f64 / 1e6, 3),
                 r.sim.cycles,
-                json_f64(cell.sim_cycles_per_sec(), 0),
-                json_f64(r.ipc(), 6),
+                format_f64(cell.sim_cycles_per_sec(), 0),
+                format_f64(r.ipc(), 6),
                 r.skipped_cycles,
-                json_f64(cell.skipped_frac(), 4),
-                json_f64(r.sim.offchip_stall_fraction(), 4),
-                json_f64(stall_net, 4),
-                json_f64(stall_mem, 4),
+                format_f64(cell.skipped_frac(), 4),
+                format_f64(r.sim.offchip_stall_fraction(), 4),
+                format_f64(stall_net, 4),
+                format_f64(stall_mem, 4),
             ));
             if let Some(profile) = &r.profile {
                 s.pop(); // re-open the cell object
@@ -471,7 +472,7 @@ impl SweepReport {
                 s.push_str(&format!(
                     ",\"component_ticks\":{},\"ticked_frac\":{}}}",
                     r.component_ticks,
-                    json_f64(
+                    format_f64(
                         r.component_ticks as f64 / r.component_opportunities as f64,
                         4
                     ),
@@ -479,7 +480,7 @@ impl SweepReport {
             }
             if let Some(apk) = cell.allocs_per_kcycle {
                 s.pop(); // re-open the cell object
-                s.push_str(&format!(",\"allocs_per_kcycle\":{}}}", json_f64(apk, 3)));
+                s.push_str(&format!(",\"allocs_per_kcycle\":{}}}", format_f64(apk, 3)));
             }
         }
         s.push_str("]}");
@@ -492,10 +493,7 @@ impl SweepReport {
     /// served from the result cache, must produce byte-identical output.
     pub fn stats_json(&self) -> String {
         let mut s = String::with_capacity(128 + 128 * self.cells.len());
-        s.push_str(&format!(
-            "{{\"name\":{},\"cells\":[\n",
-            json_str(&self.name)
-        ));
+        s.push_str(&format!("{{\"name\":{},\"cells\":[\n", escape(&self.name)));
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
                 s.push_str(",\n");
@@ -505,11 +503,11 @@ impl SweepReport {
                 "{{\"workload\":{},\"config\":{},\"cycles\":{},\"instructions\":{},\
                  \"ipc\":{},\"l1_hits\":{},\"l1_misses\":{},\"outgoing\":{},\
                  \"dram_accesses\":{}}}",
-                json_str(&r.workload),
-                json_str(&r.config),
+                escape(&r.workload),
+                escape(&r.config),
                 r.sim.cycles,
                 r.sim.instructions,
-                json_f64(r.ipc(), 6),
+                format_f64(r.ipc(), 6),
                 r.sim.l1.hits,
                 r.sim.l1.misses,
                 r.sim.outgoing_requests,
@@ -540,7 +538,7 @@ impl SweepReport {
     pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
         let mut entries: Vec<String> = Vec::new();
         if let Ok(existing) = std::fs::read_to_string(path) {
-            let my_key = format!("{{\"name\":{},", json_str(&self.name));
+            let my_key = format!("{{\"name\":{},", escape(&self.name));
             for line in existing.lines() {
                 let line = line.trim().trim_end_matches(',');
                 if line.starts_with("{\"name\":") && !line.starts_with(&my_key) {
@@ -554,29 +552,6 @@ impl SweepReport {
         out.push_str("\n]}\n");
         std::fs::write(path, out)
     }
-}
-
-/// Fixed-precision float for JSON digests: negative zero is normalised
-/// and non-finite values clamp to 0 so digests stay byte-stable. The
-/// shared implementation (and its round-trip property tests) live in
-/// [`fuse_obs::json::format_f64`].
-fn json_f64(v: f64, prec: usize) -> String {
-    fuse_obs::json::format_f64(v, prec)
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -740,25 +715,28 @@ mod tests {
     #[test]
     fn json_f64_never_emits_negative_zero_or_non_finite() {
         assert_eq!(
-            json_f64(-0.00004, 4),
+            format_f64(-0.00004, 4),
             "0.0000",
             "tiny negative rounds clean"
         );
-        assert_eq!(json_f64(-0.0, 3), "0.000");
-        assert_eq!(json_f64(f64::NAN, 2), "0.00");
-        assert_eq!(json_f64(f64::NEG_INFINITY, 1), "0.0");
+        assert_eq!(format_f64(-0.0, 3), "0.000");
+        assert_eq!(format_f64(f64::NAN, 2), "0.00");
+        assert_eq!(format_f64(f64::NEG_INFINITY, 1), "0.0");
         assert_eq!(
-            json_f64(-1.25, 2),
+            format_f64(-1.25, 2),
             "-1.25",
             "real negatives keep their sign"
         );
-        assert_eq!(json_f64(2.0 / 3.0, 6), "0.666667");
+        assert_eq!(format_f64(2.0 / 3.0, 6), "0.666667");
     }
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
+        let js = SweepPlan::new("a\"b\\c\ny", RunConfig::smoke())
+            .run()
+            .to_json();
+        assert!(js.starts_with("{\"name\":\"a\\\"b\\\\c\\ny\","), "{js}");
+        fuse_obs::json::validate(&js).expect("the report is valid JSON");
     }
 
     fn tmp_cache(tag: &str) -> (std::path::PathBuf, Arc<ResultCache>) {

@@ -8,13 +8,14 @@
 //! pin a bug; this runner picks it up by name automatically.
 
 use fuse::check::{repro, run_case};
+use fuse::core::config::L1Preset;
 
 fn repro_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros")
 }
 
 /// Every pinned repro parses, runs in lockstep on both engines under the
-/// oracle, and reports zero violations.
+/// oracle, drains, and reports zero violations.
 #[test]
 fn every_pinned_repro_passes_lockstep() {
     let mut paths: Vec<_> = std::fs::read_dir(repro_dir())
@@ -39,9 +40,10 @@ fn every_pinned_repro_passes_lockstep() {
             "{name} regressed:\n  spec: {spec:?}\n  violations:\n    {}",
             report.violations.join("\n    ")
         );
-        assert!(
-            report.skip_stats.instructions > 0,
-            "{name}: executed nothing — repro no longer exercises the machine"
+        assert_eq!(
+            report.skip_stats.instructions,
+            (spec.sms * spec.warps * spec.ops) as u64,
+            "{name}: some warp never retired"
         );
     }
 }
@@ -67,4 +69,14 @@ fn pinned_repros_exercise_their_hazards() {
 
     let wt = load("store-heavy-writethrough.repro");
     assert!(wt.store_pct >= 50, "must stay store-dominated");
+    // Every response-expecting read completes in a drained run, so the
+    // remaining outgoing requests are write-through packets.
+    let stats = run_case(&wt).skip_stats;
+    assert!(
+        stats.outgoing_requests > stats.completed_reads,
+        "must inject write-through packets"
+    );
+
+    let parked = load("blocked-fill-drain.repro");
+    assert_eq!(parked.preset, L1Preset::Hybrid, "must keep a blocking L1");
 }

@@ -168,7 +168,12 @@ const SEED_DIGESTS: &[(&str, &str, u64)] = &[
 /// [`fuse::serve::ENGINE_VERSION`]. A change that moves any of it must
 /// bump the version and append a pair here, or stores filled before the
 /// change would serve stale results as hits.
-const OUTCOME_DIGESTS: &[(&str, u64)] = &[("fuse-engine-v7", 0x2387_5129_8264_603f)];
+const OUTCOME_DIGESTS: &[(&str, u64)] = &[
+    ("fuse-engine-v7", 0x2387_5129_8264_603f),
+    // v8 ends a run only once every L1 MSHR is empty. That moves cells of
+    // the blocking presets alone, and this grid runs none of them.
+    ("fuse-engine-v8", 0x2387_5129_8264_603f),
+];
 
 /// Third axis: the observability layer must be a pure observer. With the
 /// cycle-attribution profiler enabled on every cell of the grid, the
