@@ -14,7 +14,7 @@
 //! Replacement is FIFO over the whole store (the paper's choice, §V).
 
 use crate::line::LineAddr;
-use crate::nvm_cbf::NvmCbfArray;
+use crate::nvm_cbf::{CbfStats, NvmCbfArray};
 use crate::tag_array::TagEntry;
 
 /// Geometry of the approximate fully-associative store.
@@ -154,8 +154,15 @@ impl ApproxAssocStore {
     }
 
     /// CBF statistics (Fig. 20).
-    pub fn cbf_stats(&self) -> crate::nvm_cbf::CbfStats {
+    pub fn cbf_stats(&self) -> CbfStats {
         self.cbfs.stats()
+    }
+
+    /// Counts the CBF tests, positives and false positives of `delta` as
+    /// if the probes that produced them ran again against unchanged
+    /// contents (see [`NvmCbfArray::replay_tests`]).
+    pub fn replay_cbf_tests(&mut self, delta: CbfStats) {
+        self.cbfs.replay_tests(delta);
     }
 
     fn partition_of_slot(&self, slot: usize) -> usize {

@@ -45,7 +45,6 @@ pub enum MshrOutcome {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    line: LineAddr,
     dest: FillDest,
     targets: Vec<MshrTarget>,
 }
@@ -68,10 +67,13 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr {
+    /// Outstanding lines, index-aligned with `entries`: every lookup scans
+    /// this contiguous array rather than the wider entries. Allocated at
+    /// capacity, so it never grows.
+    lines: Vec<LineAddr>,
     entries: Vec<Entry>,
     capacity: usize,
     max_targets: usize,
-    peak_occupancy: usize,
     /// Recycled target lists handed back via [`Mshr::recycle`]: a new
     /// miss reuses one (capacity intact) instead of allocating, so the
     /// steady-state miss path stays off the heap.
@@ -91,12 +93,16 @@ impl Mshr {
             "MSHR geometry must be non-zero"
         );
         Mshr {
+            lines: Vec::with_capacity(capacity),
             entries: Vec::new(),
             capacity,
             max_targets,
-            peak_occupancy: 0,
             spare: Vec::new(),
         }
+    }
+
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Current number of outstanding lines.
@@ -104,19 +110,9 @@ impl Mshr {
         self.entries.len()
     }
 
-    /// Highest occupancy observed.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
     /// True if a miss for `line` is already outstanding.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
-    }
-
-    /// Destination recorded for an outstanding line.
-    pub fn dest_of(&self, line: LineAddr) -> Option<FillDest> {
-        self.entries.iter().find(|e| e.line == line).map(|e| e.dest)
+        self.lines.contains(&line)
     }
 
     /// Attempts to allocate or merge a miss.
@@ -125,7 +121,8 @@ impl Mshr {
     /// merges keep it (the fill routing was already decided when the
     /// request left for L2 — §IV-A).
     pub fn allocate(&mut self, line: LineAddr, target: MshrTarget, dest: FillDest) -> MshrOutcome {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
+        if let Some(i) = self.position(line) {
+            let e = &mut self.entries[i];
             if e.targets.len() >= self.max_targets {
                 return MshrOutcome::FullTargets;
             }
@@ -137,12 +134,8 @@ impl Mshr {
         }
         let mut targets = self.spare.pop().unwrap_or_default();
         targets.push(target);
-        self.entries.push(Entry {
-            line,
-            dest,
-            targets,
-        });
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
+        self.lines.push(line);
+        self.entries.push(Entry { dest, targets });
         MshrOutcome::NewMiss
     }
 
@@ -153,7 +146,8 @@ impl Mshr {
     /// so the next miss reuses its storage; dropping it instead is
     /// correct but allocates on a later miss.
     pub fn complete(&mut self, line: LineAddr) -> Option<(FillDest, Vec<MshrTarget>)> {
-        let idx = self.entries.iter().position(|e| e.line == line)?;
+        let idx = self.position(line)?;
+        self.lines.swap_remove(idx);
         let e = self.entries.swap_remove(idx);
         Some((e.dest, e.targets))
     }
@@ -171,8 +165,8 @@ impl Mshr {
     /// the internal pool. For a run that ends with misses still in
     /// flight: the fills will never arrive, but the pool-accounting
     /// contract (every pooled buffer home at rest) must still hold.
-    /// Statistics (`peak_occupancy`) are kept.
     pub fn reset(&mut self) {
+        self.lines.clear();
         while let Some(e) = self.entries.pop() {
             self.recycle(e.targets);
         }
@@ -188,12 +182,10 @@ impl Mshr {
     /// model replaying the same allocate/complete stream must see the
     /// same outstanding set.
     pub fn iter_entries(&self) -> impl Iterator<Item = (LineAddr, usize)> + '_ {
-        self.entries.iter().map(|e| (e.line, e.targets.len()))
-    }
-
-    /// Total merged requesters waiting across all outstanding entries.
-    pub fn total_targets(&self) -> usize {
-        self.entries.iter().map(|e| e.targets.len()).sum()
+        self.lines
+            .iter()
+            .zip(&self.entries)
+            .map(|(&line, e)| (line, e.targets.len()))
     }
 }
 
@@ -217,7 +209,6 @@ mod tests {
             MshrOutcome::NewMiss
         );
         assert!(m.contains(LineAddr(1)));
-        assert_eq!(m.dest_of(LineAddr(1)), Some(FillDest::Stt));
         let (dest, targets) = m.complete(LineAddr(1)).unwrap();
         assert_eq!(dest, FillDest::Stt);
         assert_eq!(targets, vec![t(0)]);
@@ -232,10 +223,13 @@ mod tests {
             m.allocate(LineAddr(1), t(1), FillDest::Stt),
             MshrOutcome::Merged
         );
-        // First requester fixed the destination.
-        assert_eq!(m.dest_of(LineAddr(1)), Some(FillDest::Sram));
         assert_eq!(m.occupancy(), 1);
-        let (_, targets) = m.complete(LineAddr(1)).unwrap();
+        let (dest, targets) = m.complete(LineAddr(1)).unwrap();
+        assert_eq!(
+            dest,
+            FillDest::Sram,
+            "first requester fixed the destination"
+        );
         assert_eq!(targets.len(), 2);
     }
 
@@ -248,7 +242,6 @@ mod tests {
             m.allocate(LineAddr(3), t(0), FillDest::Sram),
             MshrOutcome::FullEntries
         );
-        assert_eq!(m.peak_occupancy(), 2);
     }
 
     #[test]
@@ -310,9 +303,63 @@ mod tests {
         let mut entries: Vec<_> = m.iter_entries().collect();
         entries.sort_unstable();
         assert_eq!(entries, vec![(LineAddr(7), 2), (LineAddr(9), 1)]);
-        assert_eq!(m.total_targets(), 3);
         m.complete(LineAddr(7));
-        assert_eq!(m.total_targets(), 1);
+        assert_eq!(m.iter_entries().collect::<Vec<_>>(), [(LineAddr(9), 1)]);
+    }
+
+    #[test]
+    fn line_array_stays_in_step_with_the_entries() {
+        let mut m = Mshr::new(4, 8);
+        let cap = m.lines.capacity();
+        let sorted = |m: &Mshr| {
+            let mut v: Vec<_> = m.iter_entries().collect();
+            v.sort_unstable();
+            v
+        };
+        m.allocate(LineAddr(10), t(0), FillDest::Sram);
+        m.allocate(LineAddr(11), t(1), FillDest::Stt);
+        m.allocate(LineAddr(12), t(2), FillDest::Bypass);
+        // A merge lands on its own line's entry.
+        assert_eq!(
+            m.allocate(LineAddr(10), t(3), FillDest::Stt),
+            MshrOutcome::Merged
+        );
+        assert_eq!(
+            sorted(&m),
+            [(LineAddr(10), 2), (LineAddr(11), 1), (LineAddr(12), 1)]
+        );
+        // Completing the middle entry swaps the last one into its slot:
+        // each remaining line must still own its destination and targets.
+        assert_eq!(
+            m.complete(LineAddr(11)).unwrap(),
+            (FillDest::Stt, vec![t(1)])
+        );
+        assert!(!m.contains(LineAddr(11)));
+        assert_eq!(sorted(&m), [(LineAddr(10), 2), (LineAddr(12), 1)]);
+        assert_eq!(
+            m.complete(LineAddr(12)).unwrap(),
+            (FillDest::Bypass, vec![t(2)])
+        );
+        assert_eq!(
+            m.complete(LineAddr(10)).unwrap(),
+            (FillDest::Sram, vec![t(0), t(3)])
+        );
+        // A reset clears both arrays; the table then refills to capacity.
+        m.allocate(LineAddr(20), t(0), FillDest::Sram);
+        m.reset();
+        assert!(!m.contains(LineAddr(20)));
+        assert_eq!(m.iter_entries().count(), 0);
+        for line in 30..34 {
+            assert_eq!(
+                m.allocate(LineAddr(line), t(0), FillDest::Stt),
+                MshrOutcome::NewMiss
+            );
+        }
+        assert_eq!(
+            m.allocate(LineAddr(34), t(0), FillDest::Stt),
+            MshrOutcome::FullEntries
+        );
+        assert_eq!(m.lines.capacity(), cap, "the line array never grows");
     }
 
     #[test]

@@ -63,15 +63,23 @@ pub struct NvmCbfArray {
     hashes: u32,
     max: u8,
     /// All filters' counters, slot-major: `counters[k * num_filters + f]`
-    /// is filter `f`'s counter `k`. A whole-array *test* reads one
-    /// contiguous `num_filters`-byte row per hash key — the physical
-    /// analogue of the paper's all-filters-in-parallel sensing, and the
-    /// layout that keeps the simulator's hottest loop in cache.
+    /// is filter `f`'s counter `k`. The low bits hold the count (at most
+    /// 7 wide); the top bit is the sticky `SATURATED` flag.
     counters: Vec<u8>,
-    /// Sticky saturation flags, same layout as `counters`.
-    saturated: Vec<bool>,
+    /// The zero/non-zero sense of each counter row, one bit per filter:
+    /// bit `f % 64` of `nonzero[k * words + f / 64]` is set iff filter
+    /// `f`'s counter `k` is non-zero. A whole-array *test* ANDs one mask
+    /// row per hash key — the simulator's analogue of the paper's
+    /// all-filters-in-parallel sensing.
+    nonzero: Vec<u64>,
+    /// Mask words per counter row (`num_filters.div_ceil(64)`).
+    words: usize,
     stats: CbfStats,
 }
+
+/// Counter-byte flag: the counter overflowed and can no longer track
+/// removals. Free because counters are at most 7 bits wide.
+const SATURATED: u8 = 0x80;
 
 impl NvmCbfArray {
     /// Creates `num_filters` CBFs of `slots` counters (`counter_bits` wide)
@@ -92,20 +100,17 @@ impl NvmCbfArray {
             hashes as usize <= MAX_HASHES,
             "at most {MAX_HASHES} hash functions"
         );
+        let words = num_filters.div_ceil(64);
         NvmCbfArray {
             num_filters,
             slots,
             hashes,
             max: ((1u16 << counter_bits) - 1) as u8,
             counters: vec![0; num_filters * slots],
-            saturated: vec![false; num_filters * slots],
+            nonzero: vec![0; words * slots],
+            words,
             stats: CbfStats::default(),
         }
-    }
-
-    /// Number of filters (= tag partitions).
-    pub fn num_filters(&self) -> usize {
-        self.num_filters
     }
 
     /// Tests every filter in parallel (one NVM-CBF *test* operation) and
@@ -119,19 +124,21 @@ impl NvmCbfArray {
     /// Allocation-free [`NvmCbfArray::test_all`]: writes the positive
     /// partition indices into `out` (cleared first), in index order. The
     /// filters share one geometry, so the hash keys are computed once;
-    /// each key then reads one contiguous counter row, and the candidate
-    /// list shrinks monotonically key over key.
+    /// each 64-filter word of the answer is the AND of that word across
+    /// the keys' non-zero mask rows.
     pub fn test_all_into(&mut self, line: LineAddr, out: &mut Vec<usize>) {
         self.stats.tests += 1;
         out.clear();
-        let nf = self.num_filters;
         let mut keybuf = [0usize; MAX_HASHES];
         let keys = line_keys(line, self.slots, self.hashes, &mut keybuf);
-        let first = &self.counters[keys[0] * nf..(keys[0] + 1) * nf];
-        out.extend((0..nf).filter(|&f| first[f] > 0));
-        for &k in &keys[1..] {
-            let row = &self.counters[k * nf..(k + 1) * nf];
-            out.retain(|&f| row[f] > 0);
+        for w in 0..self.words {
+            let mut mask = keys
+                .iter()
+                .fold(!0u64, |m, &k| m & self.nonzero[k * self.words + w]);
+            while mask != 0 {
+                out.push(w * 64 + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
         }
         self.stats.positives += out.len() as u64;
     }
@@ -142,19 +149,31 @@ impl NvmCbfArray {
         self.stats.false_positives += 1;
     }
 
+    /// Adds the test-side counts of `delta` (`tests`, `positives`,
+    /// `false_positives`) without testing: the replay of probes whose
+    /// responses the caller already knows, against unchanged filters.
+    pub fn replay_tests(&mut self, delta: CbfStats) {
+        self.stats.tests += delta.tests;
+        self.stats.positives += delta.positives;
+        self.stats.false_positives += delta.false_positives;
+    }
+
     /// Inserts `line` into partition `p`'s filter.
     pub fn increment(&mut self, p: usize, line: LineAddr) {
         self.stats.increments += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
-            let i = k * self.num_filters + p;
-            if self.counters[i] == self.max {
+            let c = &mut self.counters[k * self.num_filters + p];
+            if *c & !SATURATED == self.max {
                 // Once saturated, the counter can no longer track
                 // removals; it must stick at max to preserve
                 // no-false-negatives.
-                self.saturated[i] = true;
+                *c |= SATURATED;
             } else {
-                self.counters[i] += 1;
+                if *c == 0 {
+                    self.nonzero[k * self.words + p / 64] |= 1 << (p % 64);
+                }
+                *c += 1;
             }
         }
     }
@@ -164,12 +183,15 @@ impl NvmCbfArray {
         self.stats.decrements += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
-            let i = k * self.num_filters + p;
-            if self.saturated[i] {
+            let c = &mut self.counters[k * self.num_filters + p];
+            if *c & SATURATED != 0 {
                 continue; // sticky: cannot tell how many members remain
             }
-            debug_assert!(self.counters[i] > 0, "decrement of non-member {line}");
-            self.counters[i] = self.counters[i].saturating_sub(1);
+            debug_assert!(*c > 0, "decrement of non-member {line}");
+            *c = c.saturating_sub(1);
+            if *c == 0 {
+                self.nonzero[k * self.words + p / 64] &= !(1 << (p % 64));
+            }
         }
     }
 

@@ -26,6 +26,7 @@ use fuse_cache::approx_assoc::ApproxAssocStore;
 use fuse_cache::hash::FxHashMap;
 use fuse_cache::line::LineAddr;
 use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
+use fuse_cache::nvm_cbf::CbfStats;
 use fuse_cache::replacement::PolicyKind;
 
 use fuse_cache::stats::CacheStats;
@@ -72,6 +73,44 @@ enum SttStore {
     Approx(ApproxAssocStore),
 }
 
+/// The counters a rejected lookup adds: its only effect on the L1.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FailCounters {
+    reservation_fails: u64,
+    tag_searches: u64,
+    tag_search_cycles: u64,
+    tq_full_rejections: u64,
+    /// Test-side CBF counts (`tests`, `positives`, `false_positives`).
+    cbf: CbfStats,
+}
+
+impl FailCounters {
+    /// The counts added since `before`.
+    fn since(self, before: FailCounters) -> FailCounters {
+        FailCounters {
+            reservation_fails: self.reservation_fails - before.reservation_fails,
+            tag_searches: self.tag_searches - before.tag_searches,
+            tag_search_cycles: self.tag_search_cycles - before.tag_search_cycles,
+            tq_full_rejections: self.tq_full_rejections - before.tq_full_rejections,
+            cbf: CbfStats {
+                tests: self.cbf.tests - before.cbf.tests,
+                positives: self.cbf.positives - before.cbf.positives,
+                false_positives: self.cbf.false_positives - before.cbf.false_positives,
+                ..CbfStats::default()
+            },
+        }
+    }
+}
+
+/// A rejected access and the counters its lookup added, valid while the
+/// controller's contents generation still equals `generation`.
+#[derive(Debug, Clone, Copy)]
+struct FailedAccess {
+    acc: L1Access,
+    generation: u64,
+    added: FailCounters,
+}
+
 /// The FUSE L1D cache controller.
 ///
 /// Implements [`L1dModel`]; plug it into a [`fuse_gpu::system::GpuSystem`]
@@ -101,6 +140,12 @@ pub struct FuseL1 {
     stats: CacheStats,
     metrics: L1Metrics,
     energy: EnergyCounters,
+    /// Bumped on every change to state a lookup reads: tags, CBFs, swap
+    /// buffer, tag queue, MSHR and predictors.
+    generation: u64,
+    /// The last rejected access; its retries at an unchanged `generation`
+    /// replay its counters instead of repeating the lookup.
+    last_fail: Option<FailedAccess>,
 }
 
 impl FuseL1 {
@@ -162,6 +207,8 @@ impl FuseL1 {
             stats: CacheStats::default(),
             metrics: L1Metrics::default(),
             energy: EnergyCounters::default(),
+            generation: 0,
+            last_fail: None,
             cfg,
         }
     }
@@ -200,6 +247,31 @@ impl FuseL1 {
         }
         if let Some(d) = &mut self.dead {
             d.observe(acc.warp, sig, acc.line, acc.is_store);
+        }
+    }
+
+    /// Current values of the counters a rejected lookup adds.
+    fn fail_counters(&self) -> FailCounters {
+        FailCounters {
+            reservation_fails: self.stats.reservation_fails,
+            tag_searches: self.metrics.tag_searches,
+            tag_search_cycles: self.metrics.tag_search_cycles,
+            tq_full_rejections: self.metrics.tag_queue_full_rejections,
+            cbf: match &self.stt {
+                Some(SttStore::Approx(store)) => store.cbf_stats(),
+                _ => CbfStats::default(),
+            },
+        }
+    }
+
+    /// Adds the counters of a memoised rejection, as its lookup would.
+    fn replay_fail(&mut self, added: FailCounters) {
+        self.stats.reservation_fails += added.reservation_fails;
+        self.metrics.tag_searches += added.tag_searches;
+        self.metrics.tag_search_cycles += added.tag_search_cycles;
+        self.metrics.tag_queue_full_rejections += added.tq_full_rejections;
+        if let Some(SttStore::Approx(store)) = &mut self.stt {
+            store.replay_cbf_tests(added.cbf);
         }
     }
 
@@ -401,9 +473,8 @@ impl FuseL1 {
             .map(|d| d.predict_dead(sig))
             .unwrap_or(false);
         let bypass = dead || class == ReadLevel::Woro;
-        let outstanding = self.mshr.contains(acc.line);
 
-        if bypass && acc.is_store && !outstanding {
+        if bypass && acc.is_store && !self.mshr.contains(acc.line) {
             // Dead/WORO store: write through, no allocation, no blocking.
             self.stats.bypasses += 1;
             self.metrics.bypassed_stores += 1;
@@ -458,14 +529,10 @@ impl FuseL1 {
         }
     }
 
+    /// Looks `acc` up: banks, swap buffer, then the miss path. A
+    /// `ReservationFail` from here changes counters only (see
+    /// [`FailCounters`]).
     fn handle_access(&mut self, now: u64, acc: &L1Access) -> L1Outcome {
-        // Blocking configurations stall the whole L1D while the STT bank
-        // writes (the paper's Hybrid pathology).
-        if self.cfg.non_blocking.is_none() && self.stt.is_some() && self.stt_busy_until > now {
-            self.metrics.stt_busy_rejections += 1;
-            self.stats.reservation_fails += 1;
-            return L1Outcome::ReservationFail;
-        }
         let sig = ReadLevelPredictor::pc_signature(acc.pc);
 
         // 1. SRAM bank.
@@ -517,6 +584,7 @@ impl FuseL1 {
         let Some((dest, targets)) = self.mshr.complete(rsp.line) else {
             return; // stray response (cannot happen in-system)
         };
+        self.generation += 1;
         let class = self
             .miss_class
             .remove(&rsp.line)
@@ -554,9 +622,47 @@ impl FuseL1 {
 
 impl L1dModel for FuseL1 {
     fn access(&mut self, now: u64, acc: L1Access) -> L1Outcome {
+        // Blocking configurations stall the whole L1D while the STT bank
+        // writes (the paper's Hybrid pathology). The test depends on time,
+        // so it runs ahead of the retry memo on every call.
+        if self.cfg.non_blocking.is_none() && self.stt.is_some() && self.stt_busy_until > now {
+            self.metrics.stt_busy_rejections += 1;
+            self.stats.reservation_fails += 1;
+            return L1Outcome::ReservationFail;
+        }
+        // A warp holding the LSU re-sends its rejected access every cycle.
+        // Until the generation moves, the lookup would fail the same way
+        // and add the same counts, so add them and skip it.
+        if let Some(fail) = self
+            .last_fail
+            .filter(|f| f.acc == acc && f.generation == self.generation)
+        {
+            if cfg!(debug_assertions) {
+                // Audit every memo hit against the lookup it skips.
+                let before = self.fail_counters();
+                let outcome = self.handle_access(now, &acc);
+                let added = self.fail_counters().since(before);
+                assert!(
+                    outcome == L1Outcome::ReservationFail && added == fail.added,
+                    "memoised retry of {acc:?} diverged: {outcome:?}, {added:?} vs {:?}",
+                    fail.added
+                );
+            } else {
+                self.replay_fail(fail.added);
+            }
+            return L1Outcome::ReservationFail;
+        }
+        let before = self.fail_counters();
         let outcome = self.handle_access(now, &acc);
-        if outcome != L1Outcome::ReservationFail {
+        if outcome == L1Outcome::ReservationFail {
+            self.last_fail = Some(FailedAccess {
+                acc,
+                generation: self.generation,
+                added: self.fail_counters().since(before),
+            });
+        } else {
             self.train(&acc);
+            self.generation += 1;
         }
         outcome
     }
@@ -583,6 +689,7 @@ impl L1dModel for FuseL1 {
             while let Some(&cmd) = self.replay.front() {
                 if tq.push(cmd) {
                     self.replay.pop_front();
+                    self.generation += 1;
                 } else {
                     break;
                 }
@@ -592,6 +699,7 @@ impl L1dModel for FuseL1 {
         if self.stt_busy_until <= now {
             let cmd = self.tq.as_mut().and_then(|tq| tq.pop());
             if let Some(cmd) = cmd {
+                self.generation += 1;
                 match cmd.kind {
                     TagCmdKind::Read => {
                         let ready = now + cmd.extra_cycles as u64 + self.stt_read_lat as u64;
@@ -692,6 +800,7 @@ impl L1dModel for FuseL1 {
     }
 
     fn reset_in_flight(&mut self) {
+        self.generation += 1;
         self.mshr.reset();
         self.miss_class.clear();
         self.blocked_fills.clear();
@@ -1007,6 +1116,80 @@ mod tests {
         assert!(m.tag_searches > 0);
         assert!(m.avg_tag_search_cycles() >= 1.0);
         assert!(m.cbf.tests > 0, "CBF must be exercised");
+    }
+
+    #[test]
+    fn every_retry_counts_until_a_fill_frees_the_mshr() {
+        let mut l1 = FuseL1::new(L1Preset::DyFuse.config());
+        let entries = l1.config().mshr_entries as u64;
+        for i in 0..entries {
+            assert_eq!(l1.access(i, load(0, 0x40, 1_000 + i)), L1Outcome::Pending);
+        }
+        let counts = |l1: &FuseL1| {
+            let m = l1.metrics();
+            [l1.stats().reservation_fails, m.tag_searches, m.cbf.tests]
+        };
+        let before = counts(&l1);
+        let blocked = load(1, 0x44, 9_999);
+        const RETRIES: u64 = 25;
+        for now in 100..100 + RETRIES {
+            assert_eq!(l1.access(now, blocked), L1Outcome::ReservationFail);
+        }
+        // Each retry is a full probe in the statistics (Fig. 7b, Fig. 20),
+        // whether the lookup ran or its memo answered.
+        let after = counts(&l1);
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!(a - b, RETRIES);
+        }
+        assert!(
+            l1.last_fail
+                .is_some_and(|f| f.acc == blocked && f.generation == l1.generation),
+            "the retries must be served by a current memo"
+        );
+        // The fill that frees an entry moves the generation: the next retry
+        // looks up again and is accepted.
+        l1.push_response(
+            200,
+            L1Response {
+                id: 0,
+                line: LineAddr(1_000),
+            },
+        );
+        assert_eq!(l1.access(201, blocked), L1Outcome::Pending);
+    }
+
+    #[test]
+    fn a_tag_queue_pop_ends_a_memoised_rejection() {
+        let mut l1 = FuseL1::new(L1Preset::FaFuse.config());
+        let queue = l1.config().non_blocking.unwrap().tag_queue_entries;
+        // Lines 64 apart share SRAM set 0 (2 ways): each fill past the
+        // second migrates the oldest line to STT, and the ticks drain it.
+        let lines: Vec<u64> = (0..queue as u64 + 3).map(|i| i * 64).collect();
+        let mut now = 0;
+        for &line in &lines {
+            assert_ne!(
+                l1.access(now, load(0, 0x40, line)),
+                L1Outcome::ReservationFail
+            );
+            feed_fills(&mut l1, now);
+            for _ in 0..20 {
+                now += 1;
+                l1.tick(now);
+            }
+        }
+        // One cycle of STT load hits fills the tag queue...
+        for (warp, &line) in (1..).zip(&lines[..queue]) {
+            assert_eq!(l1.access(now, load(warp, 0x44, line)), L1Outcome::Pending);
+        }
+        // ...so the next STT hit is rejected, and its retries with it.
+        let blocked = load(40, 0x48, lines[queue]);
+        for _ in 0..5 {
+            assert_eq!(l1.access(now, blocked), L1Outcome::ReservationFail);
+        }
+        assert_eq!(l1.metrics().tag_queue_full_rejections, 5);
+        // Serving one command frees a slot; the retry must see it.
+        l1.tick(now);
+        assert_eq!(l1.access(now + 1, blocked), L1Outcome::Pending);
     }
 
     #[test]

@@ -61,8 +61,9 @@ echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
 # Differential check: run the event engine and the always-tick reference
-# in lockstep under the fuse-check reference-model oracle over the full
-# workload grid plus 512 fuzz seeds (about a second: every case drains).
+# in lockstep under the fuse-check reference-model oracle over the
+# 147-cell workload grid (every Fig. 13 preset) plus 512 fuzz seeds (about
+# two seconds: every case drains).
 # Exits non-zero on any divergence or undrained run (DESIGN.md §3f).
 echo "==> fusesim check (oracle lockstep grid + 512 fuzz seeds)"
 ./target/release/fusesim check --seeds 512 --quiet

@@ -700,15 +700,14 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             ops_scale: RunConfig::smoke().ops_scale * args.scale,
             ..RunConfig::smoke()
         };
-        let presets = [L1Preset::L1Sram, L1Preset::DyFuse];
         let workloads = all_workloads();
         println!(
-            "lockstep grid: {} workloads x {} presets, both engines, oracle attached",
+            "lockstep grid: {} workloads x {} Fig. 13 presets, both engines, oracle attached",
             workloads.len(),
-            presets.len()
+            L1Preset::FIG13.len()
         );
         for w in &workloads {
-            for preset in presets {
+            for preset in L1Preset::FIG13 {
                 let report = fuse::runner::lockstep_workload(w, preset, &rc);
                 if report.ok() {
                     if !args.quiet {
