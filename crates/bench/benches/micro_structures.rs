@@ -103,7 +103,6 @@ fn bench_dram(h: &Harness) {
                 id,
                 line: id * 17,
                 is_write: false,
-                arrival: now,
             });
         }
         black_box(ch.tick(now).len());

@@ -161,22 +161,6 @@ impl Mshr {
         }
     }
 
-    /// Abandons every outstanding entry, returning each target list to
-    /// the internal pool. For a run that ends with misses still in
-    /// flight: the fills will never arrive, but the pool-accounting
-    /// contract (every pooled buffer home at rest) must still hold.
-    pub fn reset(&mut self) {
-        self.lines.clear();
-        while let Some(e) = self.entries.pop() {
-            self.recycle(e.targets);
-        }
-    }
-
-    /// Target lists currently parked in the recycle pool.
-    pub fn pooled_target_lists(&self) -> usize {
-        self.spare.len()
-    }
-
     /// Iterates every outstanding entry as `(line, target count)`, in
     /// table order. Introspection for an external checker: a reference
     /// model replaying the same allocate/complete stream must see the
@@ -276,25 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_pools_abandoned_target_lists() {
-        let mut m = Mshr::new(4, 8);
-        m.allocate(LineAddr(1), t(0), FillDest::Sram);
-        m.allocate(LineAddr(2), t(1), FillDest::Stt);
-        m.allocate(LineAddr(2), t(2), FillDest::Stt);
-        assert_eq!(m.occupancy(), 2);
-        m.reset();
-        assert_eq!(m.occupancy(), 0, "no entry survives a reset");
-        assert_eq!(
-            m.pooled_target_lists(),
-            2,
-            "abandoned target lists must land in the pool, not be dropped"
-        );
-        // The pooled lists are reused by the next misses.
-        m.allocate(LineAddr(3), t(0), FillDest::Sram);
-        assert_eq!(m.pooled_target_lists(), 1);
-    }
-
-    #[test]
     fn introspection_sees_every_outstanding_entry() {
         let mut m = Mshr::new(4, 8);
         m.allocate(LineAddr(7), t(0), FillDest::Sram);
@@ -344,10 +309,9 @@ mod tests {
             m.complete(LineAddr(10)).unwrap(),
             (FillDest::Sram, vec![t(0), t(3)])
         );
-        // A reset clears both arrays; the table then refills to capacity.
-        m.allocate(LineAddr(20), t(0), FillDest::Sram);
-        m.reset();
-        assert!(!m.contains(LineAddr(20)));
+        // Emptied through `complete`, the table refills to capacity.
+        assert!(!m.contains(LineAddr(10)));
+        assert_eq!(m.occupancy(), 0);
         assert_eq!(m.iter_entries().count(), 0);
         for line in 30..34 {
             assert_eq!(

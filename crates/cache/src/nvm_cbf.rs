@@ -8,8 +8,9 @@
 //! corresponding data-array write.
 //!
 //! This module holds one counting Bloom filter per tag-array partition,
-//! keyed by [`line_keys`], with saturating counters, and tracks the event
-//! counts the energy model and Fig. 20 need.
+//! keyed by [`line_keys`], with saturating counters, and counts tests,
+//! positives and false positives: Fig. 20's false-positive rate reads
+//! them. The energy model reads no CBF count.
 
 use crate::bloom::{line_keys, MAX_HASHES};
 use crate::line::LineAddr;
@@ -24,10 +25,6 @@ pub struct CbfStats {
     /// Positives that turned out not to contain the key (measured by the
     /// caller via [`NvmCbfArray::record_false_positive`]).
     pub false_positives: u64,
-    /// Counter increment operations.
-    pub increments: u64,
-    /// Counter decrement operations.
-    pub decrements: u64,
 }
 
 impl CbfStats {
@@ -160,7 +157,6 @@ impl NvmCbfArray {
 
     /// Inserts `line` into partition `p`'s filter.
     pub fn increment(&mut self, p: usize, line: LineAddr) {
-        self.stats.increments += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
             let c = &mut self.counters[k * self.num_filters + p];
@@ -180,7 +176,6 @@ impl NvmCbfArray {
 
     /// Removes `line` from partition `p`'s filter.
     pub fn decrement(&mut self, p: usize, line: LineAddr) {
-        self.stats.decrements += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
             let c = &mut self.counters[k * self.num_filters + p];
@@ -232,8 +227,7 @@ mod tests {
         a.decrement(0, LineAddr(1));
         let s = a.stats();
         assert_eq!(s.tests, 2);
-        assert_eq!(s.increments, 1);
-        assert_eq!(s.decrements, 1);
+        assert_eq!(s.positives, 1, "only the member's test is positive");
         assert_eq!(s.false_positives, 1);
         assert!(s.false_positive_rate(2) > 0.0);
     }

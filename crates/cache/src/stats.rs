@@ -24,8 +24,6 @@ pub struct CacheStats {
     /// Accesses rejected for structural reasons (MSHR full, bank busy,
     /// queue full); the warp retries.
     pub reservation_fails: u64,
-    /// Valid lines evicted.
-    pub evictions: u64,
     /// Dirty evictions written back to the next level.
     pub writebacks: u64,
     /// Accesses bypassed around this cache (WORO / dead-write prediction).
@@ -67,7 +65,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.mshr_merges += other.mshr_merges;
         self.reservation_fails += other.reservation_fails;
-        self.evictions += other.evictions;
         self.writebacks += other.writebacks;
         self.bypasses += other.bypasses;
     }

@@ -106,18 +106,6 @@ impl SwapBuffer {
         self.entries.iter().any(|e| e.line == line)
     }
 
-    /// Marks a parked line dirty (a store hit while in flight).
-    /// Returns `true` if the line was present.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        match self.entries.iter_mut().find(|e| e.line == line) {
-            Some(e) => {
-                e.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Mutable access to a parked line's entry (for aux updates when a
     /// store hits an in-flight migration).
     pub fn entry_mut(&mut self, line: LineAddr) -> Option<&mut SwapEntry> {
@@ -161,9 +149,9 @@ mod tests {
         let mut b = SwapBuffer::new(3);
         b.push(e(7));
         assert!(b.contains(LineAddr(7)));
-        assert!(b.mark_dirty(LineAddr(7)));
+        b.entry_mut(LineAddr(7)).expect("parked").dirty = true;
         assert!(b.pop_front().unwrap().dirty);
-        assert!(!b.mark_dirty(LineAddr(7)));
+        assert!(b.entry_mut(LineAddr(7)).is_none());
     }
 
     #[test]

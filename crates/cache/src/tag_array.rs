@@ -190,20 +190,6 @@ impl TagArray {
     pub fn iter_valid(&self) -> impl Iterator<Item = &TagEntry> {
         self.entries.iter().filter(|e| e.valid)
     }
-
-    /// Number of valid lines currently marked dirty. Introspection for an
-    /// external checker: combined with a write-back count it closes the
-    /// dirty-line books (every line ever dirtied is either still resident
-    /// dirty, was cleaned, or was written back exactly once).
-    pub fn dirty_lines(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid && e.dirty).count()
-    }
-
-    /// The entry holding `line`, if resident, without disturbing
-    /// replacement state (read-only counterpart of [`TagArray::touch`]).
-    pub fn entry(&self, line: LineAddr) -> Option<&TagEntry> {
-        self.probe(line).map(|idx| &self.entries[idx])
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +213,7 @@ mod tests {
         assert_eq!(e.aux, 7);
         assert!(!e.dirty);
         e.dirty = true;
-        assert!(t.probe(LineAddr(5)).is_some());
+        assert!(t.touch(LineAddr(5)).expect("still resident").dirty);
         assert_eq!(t.valid_lines(), 1);
     }
 
@@ -252,22 +238,6 @@ mod tests {
         t.touch(LineAddr(0));
         let evicted = t.fill(LineAddr(8), false, 0).unwrap();
         assert_eq!(evicted.line, LineAddr(4));
-    }
-
-    #[test]
-    fn dirty_count_and_readonly_entry_track_state() {
-        let mut t = arr();
-        t.fill(LineAddr(1), false, 0);
-        t.fill(LineAddr(2), true, 5);
-        assert_eq!(t.dirty_lines(), 1);
-        let e = t.entry(LineAddr(2)).expect("resident");
-        assert!(e.dirty);
-        assert_eq!(e.aux, 5);
-        assert!(t.entry(LineAddr(9)).is_none());
-        t.touch(LineAddr(1)).unwrap().dirty = true;
-        assert_eq!(t.dirty_lines(), 2);
-        t.invalidate(LineAddr(2));
-        assert_eq!(t.dirty_lines(), 1);
     }
 
     #[test]

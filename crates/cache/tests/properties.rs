@@ -1,12 +1,19 @@
-//! Property tests over the cache building blocks.
-//!
-//! The seeded properties run in every build. The rest need the `proptest`
-//! dev-dependency, which is kept out of the offline workspace; build them
-//! with `--features proptest` after restoring the dependency in Cargo.toml.
+//! Property tests over the cache building blocks, each run over a fixed
+//! list of seeded cases so every build checks the same inputs.
 
+use std::collections::{HashMap, HashSet, VecDeque};
+
+use fuse_cache::approx_assoc::{ApproxAssocStore, ApproxConfig};
 use fuse_cache::bloom::{line_keys, MAX_HASHES};
 use fuse_cache::line::LineAddr;
+use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
 use fuse_cache::nvm_cbf::{CbfStats, NvmCbfArray};
+use fuse_cache::replacement::PolicyKind;
+use fuse_cache::swap_buffer::{SwapBuffer, SwapEntry};
+use fuse_cache::tag_array::TagArray;
+
+/// Seeds per property: case `i` runs on `SplitMix(i)`.
+const CASES: u64 = 64;
 
 /// The counting-Bloom-filter array as it was before the non-zero masks:
 /// one byte counter plus one sticky saturation flag per counter, and a
@@ -50,7 +57,6 @@ impl ByteScanCbf {
     }
 
     fn increment(&mut self, p: usize, line: LineAddr) {
-        self.stats.increments += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
             let i = k * self.num_filters + p;
@@ -63,7 +69,6 @@ impl ByteScanCbf {
     }
 
     fn decrement(&mut self, p: usize, line: LineAddr) {
-        self.stats.decrements += 1;
         let mut keybuf = [0usize; MAX_HASHES];
         for &k in line_keys(line, self.slots, self.hashes, &mut keybuf) {
             let i = k * self.num_filters + p;
@@ -88,6 +93,11 @@ impl SplitMix {
 
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
+    }
+
+    /// A line address in `0..n`.
+    fn line(&mut self, n: usize) -> LineAddr {
+        LineAddr(self.below(n) as u64)
     }
 }
 
@@ -148,196 +158,213 @@ fn cbf_masks_test_like_the_byte_scan() {
     }
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use proptest::prelude::*;
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Access(LineAddr),
+    Invalidate(LineAddr),
+}
 
-    use fuse_cache::approx_assoc::{ApproxAssocStore, ApproxConfig};
-    use fuse_cache::line::LineAddr;
-    use fuse_cache::mshr::{FillDest, Mshr, MshrOutcome, MshrTarget};
-    use fuse_cache::nvm_cbf::NvmCbfArray;
-    use fuse_cache::replacement::PolicyKind;
-    use fuse_cache::swap_buffer::{SwapBuffer, SwapEntry};
-    use fuse_cache::tag_array::TagArray;
+/// `1..max_len` accesses and invalidations over lines `0..max_line`.
+fn ops(rng: &mut SplitMix, max_line: usize, max_len: usize) -> Vec<Op> {
+    (0..1 + rng.below(max_len - 1))
+        .map(|_| {
+            let line = rng.line(max_line);
+            if rng.below(2) == 0 {
+                Op::Access(line)
+            } else {
+                Op::Invalidate(line)
+            }
+        })
+        .collect()
+}
 
-    #[derive(Debug, Clone)]
-    enum Op {
-        Access(u64),
-        Invalidate(u64),
+#[test]
+fn cbf_never_false_negative() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix(seed);
+        let hashes = 1 + rng.below(4) as u32;
+        let slots = 16 + rng.below(240);
+        let mut members: Vec<LineAddr> = (0..rng.below(40)).map(|_| rng.line(10_000)).collect();
+        members.sort_unstable();
+        members.dedup();
+        // Filter 1 stays empty, so a member's test names filter 0 only.
+        let mut f = NvmCbfArray::new(2, slots, hashes, 2);
+        for &m in &members {
+            f.increment(0, m);
+        }
+        for &m in &members {
+            assert_eq!(
+                f.test_all(m),
+                [0],
+                "seed {seed}: member {m} reported absent"
+            );
+        }
+        // Removing a member never breaks the remaining members.
+        if let Some((&gone, rest)) = members.split_first() {
+            f.decrement(0, gone);
+            for &m in rest {
+                assert_eq!(
+                    f.test_all(m),
+                    [0],
+                    "seed {seed}: member {m} lost with {gone}"
+                );
+            }
+        }
+        // Probes only exercise the no-panic path (false positives allowed).
+        for _ in 0..rng.below(200) {
+            let _ = f.test_all(rng.line(10_000));
+        }
     }
+}
 
-    fn arb_ops(max_line: u64, n: usize) -> impl Strategy<Value = Vec<Op>> {
-        prop::collection::vec(
-            prop_oneof![
-                (0..max_line).prop_map(Op::Access),
-                (0..max_line).prop_map(Op::Invalidate),
-            ],
-            1..n,
-        )
+#[test]
+fn tag_array_never_duplicates_and_counts_correctly() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix(seed);
+        let policy = [PolicyKind::Lru, PolicyKind::Fifo][rng.below(2)];
+        let mut tags = TagArray::new(8, 4, policy);
+        for op in ops(&mut rng, 64, 400) {
+            match op {
+                Op::Access(line) => {
+                    if tags.touch(line).is_none() {
+                        tags.fill(line, false, 0);
+                    }
+                    assert!(
+                        tags.probe(line).is_some(),
+                        "seed {seed}: {line} absent after fill"
+                    );
+                }
+                Op::Invalidate(line) => {
+                    tags.invalidate(line);
+                    assert!(tags.probe(line).is_none(), "seed {seed}: {line} survived");
+                }
+            }
+            let mut seen = HashSet::new();
+            for e in tags.iter_valid() {
+                assert!(seen.insert(e.line), "seed {seed}: duplicate {}", e.line);
+            }
+            assert_eq!(seen.len(), tags.valid_lines(), "seed {seed}");
+            assert!(tags.valid_lines() <= tags.lines(), "seed {seed}");
+        }
     }
+}
 
-    proptest! {
-        #[test]
-        fn cbf_never_false_negative(
-            members in prop::collection::hash_set(0u64..10_000, 0..40),
-            probes in prop::collection::vec(0u64..10_000, 0..200),
-            hashes in 1u32..5,
-            slots in 16usize..256,
-        ) {
-            // Filter 1 stays empty, so a member's test names filter 0 only.
-            let mut f = NvmCbfArray::new(2, slots, hashes, 2);
-            for &m in &members {
-                f.increment(0, LineAddr(m));
-            }
-            for &m in &members {
-                prop_assert!(f.test_all(LineAddr(m)) == [0], "member {m} reported absent");
-            }
-            // Removing a member never breaks the remaining members.
-            let mut iter = members.iter();
-            if let Some(&gone) = iter.next() {
-                f.decrement(0, LineAddr(gone));
-                for &m in iter {
-                    prop_assert!(f.test_all(LineAddr(m)) == [0]);
-                }
-            }
-            // Probes only exercise the no-panic path (false positives allowed).
-            for &p in &probes {
-                let _ = f.test_all(LineAddr(p));
-            }
-        }
-
-        #[test]
-        fn tag_array_never_duplicates_and_counts_correctly(
-            ops in arb_ops(64, 400),
-            policy in prop_oneof![Just(PolicyKind::Lru), Just(PolicyKind::Fifo)],
-        ) {
-            let mut tags = TagArray::new(8, 4, policy);
-            for op in &ops {
-                match op {
-                    Op::Access(l) => {
-                        let line = LineAddr(*l);
-                        if tags.touch(line).is_none() {
-                            tags.fill(line, false, 0);
-                        }
-                        prop_assert!(tags.probe(line).is_some(), "just-filled line absent");
-                    }
-                    Op::Invalidate(l) => {
-                        let line = LineAddr(*l);
-                        tags.invalidate(line);
-                        prop_assert!(tags.probe(line).is_none());
-                    }
-                }
-                let mut seen = std::collections::HashSet::new();
-                for e in tags.iter_valid() {
-                    prop_assert!(seen.insert(e.line), "duplicate {:?}", e.line);
-                }
-                prop_assert_eq!(seen.len(), tags.valid_lines());
-                prop_assert!(tags.valid_lines() <= tags.lines());
-            }
-        }
-
-        #[test]
-        fn approx_store_agrees_with_reference_model(ops in arb_ops(512, 300)) {
-            let cfg = ApproxConfig {
-                lines: 64,
-                num_cbfs: 16,
-                cbf_slots: 32,
-                cbf_hashes: 3,
-                cbf_counter_bits: 2,
-                comparators: 4,
-            };
-            let mut store = ApproxAssocStore::new(cfg);
-            // Reference: FIFO over a simple vec.
-            let mut reference: Vec<LineAddr> = Vec::new();
-            let mut cursor = 0usize;
-            for op in &ops {
-                match op {
-                    Op::Access(l) => {
-                        let line = LineAddr(*l);
-                        let probe = store.probe(line);
-                        let expected = reference.contains(&line);
-                        prop_assert_eq!(probe.way.is_some(), expected, "probe disagrees for {}", line);
-                        prop_assert!(probe.search_cycles >= 1);
-                        if !expected {
-                            store.fill(line, false, 0);
-                            if reference.len() < 64 {
-                                reference.push(line);
-                                cursor = reference.len() % 64;
-                            } else {
-                                reference[cursor] = line;
-                                cursor = (cursor + 1) % 64;
-                            }
-                        }
-                    }
-                    Op::Invalidate(l) => {
-                        let line = LineAddr(*l);
-                        let got = store.invalidate(line).is_some();
-                        let had = reference.contains(&line);
-                        prop_assert_eq!(got, had);
-                        if had {
-                            // Keep slots aligned: mark the slot empty the same
-                            // way the store does (slot is reused only by FIFO
-                            // cursor). The reference keeps position semantics.
-                            let idx = reference.iter().position(|x| *x == line).expect("had");
-                            reference[idx] = LineAddr(u64::MAX); // tombstone never matched
+#[test]
+fn approx_store_agrees_with_reference_model() {
+    let cfg = ApproxConfig {
+        lines: 64,
+        num_cbfs: 16,
+        cbf_slots: 32,
+        cbf_hashes: 3,
+        cbf_counter_bits: 2,
+        comparators: 4,
+    };
+    for seed in 0..CASES {
+        let mut rng = SplitMix(seed);
+        let mut store = ApproxAssocStore::new(cfg);
+        // Reference: a FIFO cursor over 64 positional slots; an
+        // invalidated slot holds a tombstone until the cursor refills it.
+        let mut reference: Vec<LineAddr> = Vec::new();
+        let mut cursor = 0usize;
+        for op in ops(&mut rng, 512, 300) {
+            match op {
+                Op::Access(line) => {
+                    let probe = store.probe(line);
+                    let expected = reference.contains(&line);
+                    assert_eq!(
+                        probe.way.is_some(),
+                        expected,
+                        "seed {seed}: probe disagrees for {line}"
+                    );
+                    assert!(probe.search_cycles >= 1);
+                    if !expected {
+                        store.fill(line, false, 0);
+                        if reference.len() < 64 {
+                            reference.push(line);
+                            cursor = reference.len() % 64;
+                        } else {
+                            reference[cursor] = line;
+                            cursor = (cursor + 1) % 64;
                         }
                     }
                 }
+                Op::Invalidate(line) => {
+                    let got = store.invalidate(line).is_some();
+                    let at = reference.iter().position(|&x| x == line);
+                    assert_eq!(got, at.is_some(), "seed {seed}: invalidate of {line}");
+                    if let Some(i) = at {
+                        reference[i] = LineAddr(u64::MAX); // never matched
+                    }
+                }
             }
         }
+    }
+}
 
-        #[test]
-        fn mshr_merges_are_bounded(lines in prop::collection::vec(0u64..16, 1..200)) {
-            let mut m = Mshr::new(8, 4);
-            let t = MshrTarget { warp: 0, is_store: false, pc_sig: 0 };
-            let mut outstanding: std::collections::HashMap<u64, usize> = Default::default();
-            for &l in &lines {
-                match m.allocate(LineAddr(l), t, FillDest::Sram) {
-                    MshrOutcome::NewMiss => {
-                        prop_assert!(outstanding.len() < 8);
-                        outstanding.insert(l, 1);
-                    }
-                    MshrOutcome::Merged => {
-                        let c = outstanding.get_mut(&l).expect("merge into live entry");
-                        *c += 1;
-                        prop_assert!(*c <= 4, "merge count exceeded");
-                    }
-                    MshrOutcome::FullEntries => {
-                        prop_assert_eq!(outstanding.len(), 8);
-                    }
-                    MshrOutcome::FullTargets => {
-                        prop_assert_eq!(outstanding[&l], 4);
-                    }
+#[test]
+fn mshr_merges_are_bounded() {
+    let t = MshrTarget {
+        warp: 0,
+        is_store: false,
+        pc_sig: 0,
+    };
+    for seed in 0..CASES {
+        let mut rng = SplitMix(seed);
+        let mut m = Mshr::new(8, 4);
+        let mut outstanding: HashMap<LineAddr, usize> = HashMap::new();
+        for _ in 0..1 + rng.below(199) {
+            let line = rng.line(16);
+            match m.allocate(line, t, FillDest::Sram) {
+                MshrOutcome::NewMiss => {
+                    assert!(outstanding.len() < 8, "seed {seed}");
+                    outstanding.insert(line, 1);
                 }
-                prop_assert_eq!(m.occupancy(), outstanding.len());
+                MshrOutcome::Merged => {
+                    let c = outstanding.get_mut(&line).expect("merge into a live entry");
+                    *c += 1;
+                    assert!(*c <= 4, "seed {seed}: merge count exceeded");
+                }
+                MshrOutcome::FullEntries => assert_eq!(outstanding.len(), 8, "seed {seed}"),
+                MshrOutcome::FullTargets => assert_eq!(outstanding[&line], 4, "seed {seed}"),
             }
-            for (&l, &targets) in &outstanding {
-                let (_, got) = m.complete(LineAddr(l)).expect("entry exists");
-                prop_assert_eq!(got.len(), targets);
-            }
-            prop_assert_eq!(m.occupancy(), 0);
+            assert_eq!(m.occupancy(), outstanding.len(), "seed {seed}");
         }
+        for (&line, &targets) in &outstanding {
+            let (_, got) = m.complete(line).expect("entry exists");
+            assert_eq!(got.len(), targets, "seed {seed}");
+        }
+        assert_eq!(m.occupancy(), 0, "seed {seed}");
+    }
+}
 
-        #[test]
-        fn swap_buffer_is_fifo_under_interleaving(pushes in prop::collection::vec(0u64..100, 1..50)) {
-            let mut buf = SwapBuffer::new(3);
-            let mut model: std::collections::VecDeque<u64> = Default::default();
-            for (i, &l) in pushes.iter().enumerate() {
-                let entry = SwapEntry { line: LineAddr(l), dirty: false, aux: 0 };
-                let accepted = buf.push(entry);
-                prop_assert_eq!(accepted, model.len() < 3);
-                if accepted {
-                    model.push_back(l);
-                }
-                if i % 2 == 1 {
-                    let got = buf.pop_front().map(|e| e.line.0);
-                    prop_assert_eq!(got, model.pop_front());
-                }
+#[test]
+fn swap_buffer_is_fifo_under_interleaving() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix(seed);
+        let mut buf = SwapBuffer::new(3);
+        let mut model: VecDeque<LineAddr> = VecDeque::new();
+        for i in 0..1 + rng.below(49) {
+            let line = rng.line(100);
+            let accepted = buf.push(SwapEntry {
+                line,
+                dirty: false,
+                aux: 0,
+            });
+            assert_eq!(accepted, model.len() < 3, "seed {seed}");
+            if accepted {
+                model.push_back(line);
             }
-            while let Some(e) = buf.pop_front() {
-                prop_assert_eq!(Some(e.line.0), model.pop_front());
+            if i % 2 == 1 {
+                assert_eq!(
+                    buf.pop_front().map(|e| e.line),
+                    model.pop_front(),
+                    "seed {seed}"
+                );
             }
-            prop_assert!(model.is_empty());
         }
+        while let Some(e) = buf.pop_front() {
+            assert_eq!(Some(e.line), model.pop_front(), "seed {seed}");
+        }
+        assert!(model.is_empty(), "seed {seed}");
     }
 }

@@ -96,7 +96,6 @@ impl FailCounters {
                 tests: self.cbf.tests - before.cbf.tests,
                 positives: self.cbf.positives - before.cbf.positives,
                 false_positives: self.cbf.false_positives - before.cbf.false_positives,
-                ..CbfStats::default()
             },
         }
     }
@@ -285,7 +284,6 @@ impl FuseL1 {
     /// A line leaves the L1 for good: write back if dirty and grade the
     /// fill-time prediction against the writes actually observed.
     fn finalize_eviction(&mut self, entry: TagEntry) {
-        self.stats.evictions += 1;
         if entry.dirty {
             self.stats.writebacks += 1;
             self.push_outgoing(entry.line, OutgoingKind::WriteThrough);
@@ -328,7 +326,6 @@ impl FuseL1 {
             (Some(swap), Some(tq)) => {
                 if swap.is_full() || tq.is_full() {
                     // Graceful fallback: evict to L2 rather than stalling.
-                    self.metrics.swap_fallback_evictions += 1;
                     self.finalize_eviction(entry);
                     return;
                 }
@@ -363,7 +360,6 @@ impl FuseL1 {
             let flushed = tq.flush();
             if !flushed.is_empty() {
                 self.metrics.tq_flushes += 1;
-                self.metrics.tq_flushed_cmds += flushed.len() as u64;
                 self.replay.extend(flushed);
             }
         }
@@ -799,25 +795,6 @@ impl L1dModel for FuseL1 {
         out.extend(self.mshr.iter_entries().map(|(line, _)| line));
     }
 
-    fn reset_in_flight(&mut self) {
-        self.generation += 1;
-        self.mshr.reset();
-        self.miss_class.clear();
-        self.blocked_fills.clear();
-        self.outgoing.clear();
-        self.completions.clear();
-        self.pending_reads.clear();
-        // Drain migration state together: a parked swap entry without its
-        // queued/replayable command would trip the skip-safety invariant.
-        self.replay.clear();
-        if let Some(tq) = &mut self.tq {
-            while tq.pop().is_some() {}
-        }
-        if let Some(swap) = &mut self.swap {
-            while swap.pop_front().is_some() {}
-        }
-    }
-
     fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -1190,30 +1167,6 @@ mod tests {
         // Serving one command frees a slot; the retry must see it.
         l1.tick(now);
         assert_eq!(l1.access(now + 1, blocked), L1Outcome::Pending);
-    }
-
-    #[test]
-    fn reset_in_flight_reclaims_mshr_and_migration_state() {
-        let mut l1 = FuseL1::new(L1Preset::BaseFuse.config());
-        // Park a migration in the swap buffer (lines share SRAM set 0).
-        for (t, line) in [0u64, 64, 128].iter().enumerate() {
-            l1.access(t as u64, load(0, 0x40, *line));
-            feed_fills(&mut l1, t as u64);
-        }
-        // And leave misses genuinely in flight (their fills never come).
-        l1.access(10, load(1, 0x44, 50_000));
-        l1.access(10, load(2, 0x48, 50_001));
-        assert!(l1.outstanding_misses() >= 2);
-        l1.reset_in_flight();
-        assert_eq!(
-            l1.outstanding_misses(),
-            0,
-            "abandoned MSHR target lists must return to the pool"
-        );
-        assert!(l1.swap.as_ref().is_none_or(|s| s.is_empty()));
-        assert!(l1.tq.as_ref().is_none_or(|t| t.is_empty()));
-        // Exercises the swap/tag-queue debug invariant after the reset.
-        let _ = l1.next_event(100);
     }
 
     #[test]

@@ -24,16 +24,11 @@ pub struct L1Metrics {
     pub migrations_to_sram: u64,
     /// SRAM victims sent straight to L2 because the predictor said WORO.
     pub woro_evictions: u64,
-    /// SRAM victims sent to L2 because the swap buffer / tag queue were
-    /// full (graceful fallback instead of stalling).
-    pub swap_fallback_evictions: u64,
     /// In-place STT data writes (write update after a misprediction) —
     /// each one flushes the tag queue (§IV-A, ~7% of requests).
     pub stt_write_updates: u64,
     /// Tag-queue flush events.
     pub tq_flushes: u64,
-    /// Commands displaced (and replayed) by flushes.
-    pub tq_flushed_cmds: u64,
     /// Demand loads bypassed around the L1 (WORO / dead-fill).
     pub bypassed_loads: u64,
     /// Demand stores bypassed (written through to L2).
@@ -71,10 +66,8 @@ impl L1Metrics {
         self.migrations_to_stt += other.migrations_to_stt;
         self.migrations_to_sram += other.migrations_to_sram;
         self.woro_evictions += other.woro_evictions;
-        self.swap_fallback_evictions += other.swap_fallback_evictions;
         self.stt_write_updates += other.stt_write_updates;
         self.tq_flushes += other.tq_flushes;
-        self.tq_flushed_cmds += other.tq_flushed_cmds;
         self.bypassed_loads += other.bypassed_loads;
         self.bypassed_stores += other.bypassed_stores;
         self.accuracy.merge(&other.accuracy);
@@ -82,8 +75,6 @@ impl L1Metrics {
         self.cbf.tests += other.cbf.tests;
         self.cbf.positives += other.cbf.positives;
         self.cbf.false_positives += other.cbf.false_positives;
-        self.cbf.increments += other.cbf.increments;
-        self.cbf.decrements += other.cbf.decrements;
     }
 }
 

@@ -52,21 +52,6 @@ pub struct IcntStats {
     pub packets: u64,
     /// Flits moved.
     pub flits: u64,
-    /// Cycle-sum of the injection-queue depth (for average occupancy).
-    pub queue_depth_sum: u64,
-    /// Cycles ticked.
-    pub cycles: u64,
-}
-
-impl IcntStats {
-    /// Mean injection-queue depth per cycle.
-    pub fn avg_queue_depth(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// One direction of the fabric.
@@ -136,8 +121,6 @@ impl Interconnect {
     /// Advances one cycle, appending every packet that completed traversal
     /// to the caller-owned `out`.
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<Packet>) {
-        self.stats.cycles += 1;
-        self.stats.queue_depth_sum += self.inject.len() as u64;
         let mut budget = self.flits_per_cycle;
         while let Some(front) = self.inject.front() {
             if front.flits > budget {
@@ -162,10 +145,10 @@ impl Interconnect {
 
     /// Earliest cycle at or after `now` whose tick does observable work:
     /// `now` while the injection queue is non-empty (injection is
-    /// attempted every cycle and the queue-depth statistic accrues), else
-    /// the delivery time at the head of the in-flight FIFO (packets are
-    /// ordered by insertion, and the latency is constant, so the head is
-    /// the minimum). `None` when fully idle.
+    /// attempted every cycle), else the delivery time at the head of the
+    /// in-flight FIFO (packets are ordered by insertion, and the latency
+    /// is constant, so the head is the minimum). Every other tick is a
+    /// no-op. `None` when fully idle.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         if !self.inject.is_empty() {
             return Some(now);
@@ -173,30 +156,9 @@ impl Interconnect {
         self.in_flight.front().map(|&(at, _)| at.max(now))
     }
 
-    /// Bulk-credits `span` skipped cycles of per-cycle statistics, exactly
-    /// as `span` calls to [`Interconnect::tick_into`] with an empty
-    /// injection queue and no due delivery would have. Callers must only
-    /// skip cycles strictly before [`Interconnect::next_event`], which
-    /// implies the injection queue is empty (so the queue-depth sum credit
-    /// is zero).
-    pub fn advance_idle(&mut self, span: u64) {
-        debug_assert!(
-            self.inject.is_empty(),
-            "cycle-skipped across a non-empty injection queue"
-        );
-        self.stats.cycles += span;
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> IcntStats {
         self.stats
-    }
-
-    /// Drops every queued and in-flight packet (capacity is retained).
-    /// Statistics already accrued are kept.
-    pub fn reset_in_flight(&mut self) {
-        self.inject.clear();
-        self.in_flight.clear();
     }
 }
 
@@ -269,7 +231,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.packets, 2);
         assert_eq!(s.flits, 6);
-        assert!(s.avg_queue_depth() >= 0.0);
     }
 
     #[test]
@@ -282,25 +243,6 @@ mod tests {
         assert_eq!(net.next_event(4), Some(8));
         let _ = net.tick(8);
         assert_eq!(net.next_event(9), None);
-    }
-
-    #[test]
-    fn advance_idle_matches_ticking_dead_cycles() {
-        let mut a = Interconnect::new(10, 16);
-        let mut b = Interconnect::new(10, 16);
-        a.push(pkt(1, 1));
-        b.push(pkt(1, 1));
-        let _ = a.tick(0);
-        let _ = b.tick(0);
-        // Cycles 1..=9 are dead: a ticks them, b bulk-credits them.
-        for now in 1..10 {
-            assert!(a.tick(now).is_empty());
-        }
-        b.advance_idle(9);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.tick(10).len(), 1);
-        assert_eq!(b.tick(10).len(), 1);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -140,11 +140,9 @@ pub trait L1dModel: Send {
         let _ = out;
     }
 
-    /// Abandons in-flight state, returning every pooled buffer (MSHR
-    /// target lists, parked migrations, replay queues) to its pool. For
-    /// a run a cycle cap stopped mid-flight: the fills will never
-    /// arrive. Statistics are kept; the model need not be usable for
-    /// further simulation afterwards.
+    /// Kept only as an empty hook: no engine, runner or model calls or
+    /// overrides it. The repository benchmark's `TimedL1` decorator
+    /// forwards it, so it goes when that decorator stops forwarding it.
     fn reset_in_flight(&mut self) {}
 
     /// Hit/miss statistics.
@@ -300,12 +298,6 @@ impl L1dModel for IdealL1 {
 
     fn outstanding_lines(&self, out: &mut Vec<LineAddr>) {
         out.extend(self.mshr.iter_entries().map(|(line, _)| line));
-    }
-
-    fn reset_in_flight(&mut self) {
-        self.mshr.reset();
-        self.outgoing.clear();
-        self.completions.clear();
     }
 
     fn stats(&self) -> CacheStats {

@@ -155,17 +155,6 @@ impl L2Bank {
         self.pending.len()
     }
 
-    /// Abandons queued and outstanding work, returning every pooled
-    /// waiter node to the arena's free list. For a run that ends with
-    /// misses still in flight; statistics are kept.
-    pub fn reset_in_flight(&mut self) {
-        self.inbox.clear();
-        let pending = std::mem::take(&mut self.pending);
-        for (_, chain) in pending {
-            self.waiters.drain(chain, |_| ());
-        }
-    }
-
     /// Services at most one packet whose pipeline delay elapsed, appending
     /// everything produced to the caller-owned `out`.
     pub fn tick(&mut self, now: u64, out: &mut L2Output) {
@@ -192,7 +181,6 @@ impl L2Bank {
         // Write-allocate: the 128 B payload is a full line.
         self.stats.misses += 1;
         if let Some(evicted) = self.tags.fill(packet.line, true, 0) {
-            self.stats.evictions += 1;
             if evicted.dirty {
                 self.stats.writebacks += 1;
                 out.dram_writes.push(evicted.line);
@@ -231,7 +219,6 @@ impl L2Bank {
     pub fn dram_fill(&mut self, line: LineAddr, out: &mut L2Output) {
         if self.tags.probe(line).is_none() {
             if let Some(evicted) = self.tags.fill(line, false, 0) {
-                self.stats.evictions += 1;
                 if evicted.dirty {
                     self.stats.writebacks += 1;
                     out.dram_writes.push(evicted.line);
@@ -360,20 +347,6 @@ mod tests {
             1,
             "retry succeeds after fill frees a slot"
         );
-    }
-
-    #[test]
-    fn reset_in_flight_returns_every_waiter_node() {
-        let mut bank = L2Bank::new(16, 4, 1, 8);
-        bank.enqueue(read(1, 9), 0);
-        bank.enqueue(read(2, 9), 0); // merges onto the same chain
-        bank.enqueue(read(3, 11), 0);
-        let _ = run(&mut bank, 5);
-        assert!(bank.waiter_nodes_live() >= 3, "misses park their waiters");
-        assert!(!bank.is_idle());
-        bank.reset_in_flight();
-        assert_eq!(bank.waiter_nodes_live(), 0, "abandoned chains must drain");
-        assert!(bank.is_idle());
     }
 
     #[test]

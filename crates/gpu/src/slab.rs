@@ -106,15 +106,6 @@ impl<T> Slab<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Drops every live entry and resets the free list, keeping the
-    /// backing storage. Ids handed out before the clear must not be used
-    /// again: they may alias fresh insertions.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.len = 0;
-    }
 }
 
 /// Sentinel node index terminating a [`Chain`]. Never a valid node.
@@ -273,17 +264,6 @@ mod tests {
         assert!(!s.is_empty());
         s.remove(a);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_population_and_keeps_storage() {
-        let mut s = Slab::new();
-        let ids: Vec<u64> = (0..4).map(|i| s.insert(i)).collect();
-        s.remove(ids[2]);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.get(ids[0]), None, "cleared ids are dead");
-        assert_eq!(s.insert(99), 0, "table restarts from slot zero");
     }
 
     #[test]

@@ -222,13 +222,6 @@ impl Sm {
         self.bubble
     }
 
-    /// Abandons the L1's in-flight state, returning its pooled buffers
-    /// (see [`L1dModel::reset_in_flight`]). Does not make the SM
-    /// resumable — for end-of-run pool accounting only.
-    pub fn reset_in_flight(&mut self) {
-        self.l1.reset_in_flight();
-    }
-
     /// Advances one cycle: L1 pipelines, load wake-ups, then issue.
     pub fn tick(&mut self, now: u64) {
         self.tick_traced(now, None);

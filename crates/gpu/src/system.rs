@@ -446,9 +446,8 @@ impl GpuSystem {
     /// `max_cycles` elapses. Returns the run's statistics.
     pub fn run(&mut self, max_cycles: u64) -> SimStats {
         // A caller may have mutated components between runs (queued
-        // DRAM work, delivered responses, reset in-flight state): re-arm
-        // so the first tick rebuilds every wake from live `next_event`
-        // answers.
+        // DRAM work, delivered responses): re-arm so the first tick
+        // rebuilds every wake from live `next_event` answers.
         self.arm();
         let event = self.event_engine();
         while self.cycle < max_cycles {
@@ -548,8 +547,9 @@ impl GpuSystem {
     /// [`GpuSystem::next_event_cycle`] restricted to the memory side
     /// (networks, L2, DRAM, retry queues).
     fn mem_next_event(&self, now: u64) -> Option<u64> {
-        // DRAM retry queues are serviced (and count channel rejections)
-        // every cycle they are non-empty: a hard barrier.
+        // A deferred DRAM push lands the cycle after its channel frees
+        // a queue slot, which no channel `next_event` reports: a
+        // non-empty retry queue is a hard barrier.
         if self.pending_dram_total > 0 {
             return Some(now);
         }
@@ -585,11 +585,10 @@ impl GpuSystem {
     }
 
     /// Fast-forwards the clock over `span` cycles in which no component
-    /// has work, bulk-crediting every per-cycle statistic exactly as the
-    /// ticked engine would have accrued it: interconnect cycle/queue-depth
-    /// counters and per-SM stall classification. All other state is
-    /// provably unchanged by a dead tick (see DESIGN.md, "Event-driven
-    /// cycle skipping").
+    /// has work, bulk-crediting the one per-cycle statistic, the per-SM
+    /// stall classification, exactly as the ticked engine would have
+    /// accrued it. All other state is provably unchanged by a dead tick
+    /// (see DESIGN.md, "Event-driven cycle skipping").
     fn advance_idle(&mut self, span: u64) {
         debug_assert!(span > 0, "empty skip");
         for sm in &mut self.sms {
@@ -601,8 +600,6 @@ impl GpuSystem {
                 span,
             });
         }
-        self.req_net.advance_idle(span);
-        self.rsp_net.advance_idle(span);
         self.cycle += span;
         self.skipped_cycles += span;
     }
@@ -724,8 +721,6 @@ impl GpuSystem {
         if !event || self.req_net.next_event(now).is_some_and(|t| t <= now) {
             self.component_ticks += 1;
             self.deliver_requests(now);
-        } else {
-            self.req_net.advance_idle(1);
         }
     }
 
@@ -851,10 +846,10 @@ impl GpuSystem {
         for ci in 0..self.dram.len() {
             // Both engines gate a channel on its O(1) occupancy counter —
             // ticking a channel whose banks are all mid-service is a
-            // no-op (statistics accrue only on actual service and
-            // rejected pushes), and computing the channel's exact
-            // `next_event` here costs more per cycle (an O(window) queue
-            // scan) than the dead ticks it would avoid.
+            // no-op (statistics accrue only on actual service), and
+            // computing the channel's exact `next_event` here costs more
+            // per cycle (an O(window) queue scan) than the dead ticks it
+            // would avoid.
             if self.dram[ci].occupancy() == 0 {
                 continue;
             }
@@ -907,7 +902,6 @@ impl GpuSystem {
         // due cycle cached last cycle could be stale-late.
         let event = self.event_engine();
         if event && self.rsp_net.next_event(now).is_none_or(|t| t > now) {
-            self.rsp_net.advance_idle(1);
             return;
         }
         self.component_ticks += 1;
@@ -1041,7 +1035,6 @@ impl GpuSystem {
             id,
             line: line.0 / self.cfg.l2_banks as u64,
             is_write: !is_read,
-            arrival: now,
         };
         // FIFO per channel: if this channel already has deferred pushes,
         // queue behind them rather than jumping ahead.
@@ -1049,32 +1042,6 @@ impl GpuSystem {
             self.pending_dram[channel].push_back(request);
             self.pending_dram_total += 1;
         }
-    }
-
-    /// Abandons every in-flight request and returns all pooled scratch
-    /// (MSHR target lists, L2 waiter-chain nodes, trace and DRAM-read
-    /// slots) to its home pool. For harness reuse after a capped run ends
-    /// with misses still in flight; statistics already accrued are kept.
-    pub fn reset_in_flight(&mut self) {
-        for sm in &mut self.sms {
-            sm.reset_in_flight();
-        }
-        for b in &mut self.l2 {
-            b.reset_in_flight();
-        }
-        self.req_net.reset_in_flight();
-        self.rsp_net.reset_in_flight();
-        self.traces.clear();
-        self.dram_reads.clear();
-        for q in &mut self.pending_dram {
-            q.clear();
-        }
-        self.pending_dram_total = 0;
-        for c in &mut self.dram {
-            c.reset_in_flight();
-        }
-        #[cfg(debug_assertions)]
-        self.assert_quiescent_pools();
     }
 
     /// Debug-only pool accounting: at rest, every pooled buffer must be
@@ -1575,27 +1542,6 @@ mod tests {
             sys.run(1_000_000)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn reset_in_flight_drains_a_capped_run_to_quiescence() {
-        let mut sys = GpuSystem::new(
-            small_cfg(),
-            |_| Box::new(IdealL1::new()),
-            |s, w| streaming_program(s, w, 50),
-        );
-        // Cap the run mid-flight: requests are stranded in every layer.
-        let stats = sys.run(300);
-        assert_eq!(stats.cycles, 300);
-        assert!(!sys.is_done(), "cap must strand in-flight work");
-        sys.reset_in_flight();
-        assert!(
-            sys.traces.is_empty() && sys.dram_reads.is_empty(),
-            "slabs must come back empty"
-        );
-        assert!(sys.req_net.is_idle() && sys.rsp_net.is_idle());
-        assert!(sys.l2.iter().all(|b| b.is_idle()));
-        assert!(sys.dram.iter().all(|c| c.occupancy() == 0));
     }
 
     #[test]

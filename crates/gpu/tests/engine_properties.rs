@@ -1,88 +1,112 @@
-//! Engine-level property tests: arbitrary small programs must retire
-//! exactly, deterministically, with conserved request accounting.
-//!
-//! These tests need the `proptest` dev-dependency, which is kept out of the
-//! offline workspace; build them with `--features proptest` after restoring
-//! the dependency in Cargo.toml.
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
+//! Engine-level property test: arbitrary small programs must retire
+//! exactly, deterministically, with conserved request accounting. It runs
+//! over a fixed list of seeded programs so every build checks the same
+//! inputs.
 
 use fuse_gpu::config::GpuConfig;
 use fuse_gpu::l1d::IdealL1;
 use fuse_gpu::system::GpuSystem;
 use fuse_gpu::warp::{MemOp, StreamProgram, WarpOp};
 
-#[derive(Debug, Clone)]
+/// Seeded programs: case `i` runs on `SplitMix(i)`.
+const CASES: u64 = 24;
+
+/// SplitMix64: a dependency-free seeded generator for the property below.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum OpSpec {
     Compute(u8),
     Load { base: u64, stride: u64 },
     Store { base: u64, stride: u64 },
 }
 
-fn arb_program() -> impl Strategy<Value = Vec<OpSpec>> {
-    prop::collection::vec(
-        prop_oneof![
-            (1u8..4).prop_map(OpSpec::Compute),
-            (0u64..1 << 20, prop_oneof![Just(4u64), Just(64), Just(128)])
-                .prop_map(|(base, stride)| OpSpec::Load { base, stride }),
-            (0u64..1 << 20, Just(4u64)).prop_map(|(base, stride)| OpSpec::Store { base, stride }),
-        ],
-        1..24,
-    )
-}
-
-fn build(spec: &[OpSpec], salt: u64) -> Vec<WarpOp> {
-    spec.iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            OpSpec::Compute(c) => WarpOp::Compute { cycles: *c },
-            OpSpec::Load { base, stride } => WarpOp::Mem(MemOp::strided(
-                (i as u32) * 4,
-                false,
-                base + salt * (1 << 22),
-                *stride,
-                32,
-            )),
-            OpSpec::Store { base, stride } => WarpOp::Mem(MemOp::strided(
-                (i as u32) * 4,
-                true,
-                base + salt * (1 << 22),
-                *stride,
-                32,
-            )),
+/// `1..24` instructions: compute delays of 1..4 cycles, loads at element
+/// strides of 4, 64 or 128 bytes, and unit-stride stores.
+fn program(rng: &mut SplitMix) -> Vec<OpSpec> {
+    (0..1 + rng.below(23))
+        .map(|_| match rng.below(3) {
+            0 => OpSpec::Compute(1 + rng.below(3) as u8),
+            1 => OpSpec::Load {
+                base: rng.below(1 << 20),
+                stride: [4, 64, 128][rng.below(3) as usize],
+            },
+            _ => OpSpec::Store {
+                base: rng.below(1 << 20),
+                stride: 4,
+            },
         })
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn build(spec: &[OpSpec], salt: u64) -> Vec<WarpOp> {
+    let mem = |i: usize, is_store: bool, base: u64, stride: u64| {
+        WarpOp::Mem(MemOp::strided(
+            (i as u32) * 4,
+            is_store,
+            base + salt * (1 << 22),
+            stride,
+            32,
+        ))
+    };
+    spec.iter()
+        .enumerate()
+        .map(|(i, s)| match *s {
+            OpSpec::Compute(cycles) => WarpOp::Compute { cycles },
+            OpSpec::Load { base, stride } => mem(i, false, base, stride),
+            OpSpec::Store { base, stride } => mem(i, true, base, stride),
+        })
+        .collect()
+}
 
-    #[test]
-    fn programs_retire_exactly_and_deterministically(spec in arb_program()) {
+#[test]
+fn programs_retire_exactly_and_deterministically() {
+    for seed in 0..CASES {
+        let spec = program(&mut SplitMix(seed));
         let run = || {
-            let cfg = GpuConfig { num_sms: 2, warps_per_sm: 3, ..GpuConfig::gtx480() };
+            let cfg = GpuConfig {
+                num_sms: 2,
+                warps_per_sm: 3,
+                ..GpuConfig::gtx480()
+            };
             let mut sys = GpuSystem::new(
                 cfg,
                 |_| Box::new(IdealL1::new()),
                 |sm, warp| {
-                    Box::new(StreamProgram::new(build(&spec, (sm * 3 + warp as usize) as u64)))
+                    Box::new(StreamProgram::new(build(
+                        &spec,
+                        (sm * 3 + warp as usize) as u64,
+                    )))
                 },
             );
             let stats = sys.run(5_000_000);
             (sys.is_done(), stats)
         };
-        let (done_a, a) = run();
-        let (_done_b, b) = run();
-        prop_assert!(done_a, "system failed to drain");
-        prop_assert_eq!(a, b, "non-deterministic engine");
-        prop_assert_eq!(a.instructions as usize, spec.len() * 6);
+        let (done, a) = run();
+        let (_, b) = run();
+        assert!(done, "seed {seed}: system failed to drain");
+        assert_eq!(a, b, "seed {seed}: non-deterministic engine");
+        assert_eq!(a.instructions as usize, spec.len() * 6, "seed {seed}");
         // Energy counters mirror engine counters.
-        prop_assert_eq!(a.energy.warp_instructions, a.instructions);
-        prop_assert_eq!(a.energy.dram_accesses, a.dram_accesses);
+        assert_eq!(a.energy.warp_instructions, a.instructions, "seed {seed}");
+        assert_eq!(a.energy.dram_accesses, a.dram_accesses, "seed {seed}");
         // Every L1 miss produced an outgoing request; every completed read
         // was delivered back.
-        prop_assert!(a.outgoing_requests >= a.l1.misses);
-        prop_assert!(a.completed_reads <= a.outgoing_requests);
+        assert!(a.outgoing_requests >= a.l1.misses, "seed {seed}");
+        assert!(a.completed_reads <= a.outgoing_requests, "seed {seed}");
     }
 }

@@ -130,8 +130,6 @@ pub struct DramRequest {
     pub line: u64,
     /// True for writes (writes complete at bus time; no response payload).
     pub is_write: bool,
-    /// SM cycle the request arrived at the channel.
-    pub arrival: u64,
 }
 
 /// A finished DRAM access.
@@ -159,10 +157,6 @@ pub struct DramStats {
     pub accesses: u64,
     /// Row-buffer hits among them.
     pub row_hits: u64,
-    /// Sum of queueing + service latency in SM cycles.
-    pub total_latency: u64,
-    /// Requests rejected because the queue was full.
-    pub rejected: u64,
 }
 
 /// One DRAM channel: bounded queue, banked row-buffer state, shared bus.
@@ -176,7 +170,7 @@ pub struct DramStats {
 /// ```
 /// use fuse_mem::dram::{DramChannel, DramRequest, DramTiming};
 /// let mut ch = DramChannel::new(DramTiming::default());
-/// assert!(ch.try_push(DramRequest { id: 1, line: 0, is_write: false, arrival: 0 }));
+/// assert!(ch.try_push(DramRequest { id: 1, line: 0, is_write: false }));
 /// let mut done = Vec::new();
 /// for now in 0..200 {
 ///     done.extend(ch.tick(now));
@@ -213,11 +207,10 @@ impl DramChannel {
         }
     }
 
-    /// Enqueues a request; returns `false` (and counts a rejection) if the
-    /// channel queue is full, in which case the caller must retry later.
+    /// Enqueues a request; returns `false` if the channel queue is full,
+    /// in which case the caller must retry later.
     pub fn try_push(&mut self, req: DramRequest) -> bool {
         if self.queue.len() >= self.timing.queue_capacity {
-            self.stats.rejected += 1;
             return false;
         }
         self.queue.push_back(req);
@@ -265,13 +258,6 @@ impl DramChannel {
     /// these).
     pub fn timing(&self) -> &DramTiming {
         &self.timing
-    }
-
-    /// Drops every queued and in-service request (capacity is retained;
-    /// bank timing state and statistics already accrued are kept).
-    pub fn reset_in_flight(&mut self) {
-        self.queue.clear();
-        self.in_service.clear();
     }
 
     fn bank_and_row(&self, line: u64) -> (usize, u64) {
@@ -380,7 +366,6 @@ impl DramChannel {
         if row_hit {
             self.stats.row_hits += 1;
         }
-        self.stats.total_latency += data_at - req.arrival;
 
         DramCompletion {
             id: req.id,
@@ -410,7 +395,6 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         let done = drain(&mut ch, 300);
         assert_eq!(done.len(), 1);
@@ -427,13 +411,11 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         ch.try_push(DramRequest {
             id: 2,
             line: 1,
             is_write: false,
-            arrival: 0,
         });
         // line in a different row, same bank cadence not guaranteed; use a
         // far line mapping to another row.
@@ -441,7 +423,6 @@ mod tests {
             id: 3,
             line: 16 * 8,
             is_write: false,
-            arrival: 0,
         });
         let done = drain(&mut ch, 2000);
         assert_eq!(done.len(), 3);
@@ -462,7 +443,6 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         let _ = drain(&mut ch, 80);
         // Conflict (row 8 -> bank 0) enqueued before a row-0 hit.
@@ -470,13 +450,11 @@ mod tests {
             id: 2,
             line: 16 * 8,
             is_write: false,
-            arrival: 80,
         });
         ch.try_push(DramRequest {
             id: 3,
             line: 1,
             is_write: false,
-            arrival: 80,
         });
         let mut order = Vec::new();
         for now in 80..2000 {
@@ -499,21 +477,18 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0
         }));
         assert!(ch.try_push(DramRequest {
             id: 2,
             line: 1,
             is_write: false,
-            arrival: 0
         }));
         assert!(!ch.try_push(DramRequest {
             id: 3,
             line: 2,
             is_write: false,
-            arrival: 0
         }));
-        assert_eq!(ch.stats().rejected, 1);
+        assert_eq!(ch.occupancy(), 2, "a refused push queues nothing");
     }
 
     #[test]
@@ -524,13 +499,11 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         ch.try_push(DramRequest {
             id: 2,
             line: 1,
             is_write: false,
-            arrival: 0,
         });
         let done = drain(&mut ch, 500);
         let f1 = done.iter().find(|c| c.id == 1).unwrap().finished_at;
@@ -549,14 +522,12 @@ mod tests {
                 id: i,
                 line: i,
                 is_write: false,
-                arrival: 0,
             });
         }
         let _ = drain(&mut ch, 1000);
         let s = ch.stats();
         assert_eq!(s.accesses, 4);
         assert_eq!(s.row_hits, 3, "lines 1..3 hit the row opened by line 0");
-        assert!(s.total_latency > 0);
     }
 
     #[test]
@@ -568,7 +539,6 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         // Idle bank: schedulable immediately.
         assert_eq!(ch.next_event(0), Some(0));
@@ -582,7 +552,6 @@ mod tests {
             id: 2,
             line: 1,
             is_write: false,
-            arrival: 1,
         });
         assert_eq!(ch.next_event(1), Some(56));
         // Skipping to the event and ticking there makes progress.
@@ -603,7 +572,6 @@ mod tests {
                 id: i,
                 line: i * 16, // distinct rows, distinct banks
                 is_write: false,
-                arrival: 0,
             });
         }
         let mut done = Vec::new();
@@ -662,7 +630,6 @@ mod tests {
                 id: i,
                 line: (i * 7) % 64,
                 is_write: i % 5 == 0,
-                arrival: 0,
             });
         }
         let done = drain(&mut ch, 10_000);
@@ -692,13 +659,11 @@ mod tests {
             id: 1,
             line: 0,
             is_write: false,
-            arrival: 0,
         });
         ch.try_push(DramRequest {
             id: 2,
             line: 16,
             is_write: false,
-            arrival: 0,
         });
         let done = drain(&mut ch, 500);
         let f2 = done.iter().find(|c| c.id == 2).unwrap().finished_at;

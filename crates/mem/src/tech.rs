@@ -36,19 +36,6 @@ impl MemTechnology {
             MemTechnology::EDram => 80,
         }
     }
-
-    /// Density multiplier relative to SRAM under the same area budget.
-    ///
-    /// The paper rounds 140/36 to "about 4×"; we keep the same rounding so
-    /// that a 32 KB SRAM area budget converts to a 128 KB STT-MRAM bank
-    /// exactly as in Table I.
-    pub fn density_vs_sram(self) -> u32 {
-        match self {
-            MemTechnology::Sram => 1,
-            MemTechnology::SttMram => 4,
-            MemTechnology::EDram => 2,
-        }
-    }
 }
 
 impl std::fmt::Display for MemTechnology {
@@ -231,12 +218,6 @@ impl Default for BankParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn density_matches_paper() {
-        assert_eq!(MemTechnology::SttMram.density_vs_sram(), 4);
-        assert_eq!(MemTechnology::Sram.density_vs_sram(), 1);
-    }
 
     #[test]
     fn table1_sram_points() {

@@ -21,11 +21,6 @@ pub enum ReadLevel {
 }
 
 impl ReadLevel {
-    /// Whether blocks of this class belong in the STT-MRAM bank.
-    pub fn prefers_stt(self) -> bool {
-        matches!(self, ReadLevel::Worm)
-    }
-
     /// Whether blocks of this class should not be allocated in L1 at all.
     pub fn bypasses(self) -> bool {
         matches!(self, ReadLevel::Woro)
@@ -86,8 +81,6 @@ mod tests {
 
     #[test]
     fn placement_preferences() {
-        assert!(ReadLevel::Worm.prefers_stt());
-        assert!(!ReadLevel::Wm.prefers_stt());
         assert!(ReadLevel::Woro.bypasses());
         assert!(!ReadLevel::Neutral.bypasses());
     }

@@ -45,7 +45,7 @@ use fuse_workloads::spec::WorkloadSpec;
 /// reordered tick phase. The PR checklist item is one constant edit; the
 /// reward is that stale hits across engine revisions are structurally
 /// impossible.
-pub const ENGINE_VERSION: &str = "fuse-engine-v8";
+pub const ENGINE_VERSION: &str = "fuse-engine-v9";
 
 /// Everything that determines one cell's outcome.
 #[derive(Debug, Clone, Copy)]

@@ -11,12 +11,12 @@
 //! one configuration may be a column under several names, so each reader
 //! labels the record with its own row and column.
 //!
-//! # On-disk format (`fuse-cell-record-v3`)
+//! # On-disk format (`fuse-cell-record-v4`)
 //!
 //! A single UTF-8 text file:
 //!
 //! ```text
-//! fuse-cell-record-v3
+//! fuse-cell-record-v4
 //! key=<32 hex digest>
 //! keytext=<byte length N>
 //! <N bytes of canonical key text (multi-line)>
@@ -47,7 +47,7 @@ use crate::key::{fnv1a64, CellKey};
 /// Format tag at the top of every entry file. Bump on any layout change;
 /// old-version files parse as corrupt and are quarantined, never
 /// misinterpreted.
-pub const RECORD_FORMAT: &str = "fuse-cell-record-v3";
+pub const RECORD_FORMAT: &str = "fuse-cell-record-v4";
 
 /// The recorded outcome of one simulation cell.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -70,14 +70,12 @@ macro_rules! with_int_fields {
         $op!($($ctx)*, "sim.l1.misses", sim, l1, misses);
         $op!($($ctx)*, "sim.l1.mshr_merges", sim, l1, mshr_merges);
         $op!($($ctx)*, "sim.l1.reservation_fails", sim, l1, reservation_fails);
-        $op!($($ctx)*, "sim.l1.evictions", sim, l1, evictions);
         $op!($($ctx)*, "sim.l1.writebacks", sim, l1, writebacks);
         $op!($($ctx)*, "sim.l1.bypasses", sim, l1, bypasses);
         $op!($($ctx)*, "sim.l2.hits", sim, l2, hits);
         $op!($($ctx)*, "sim.l2.misses", sim, l2, misses);
         $op!($($ctx)*, "sim.l2.mshr_merges", sim, l2, mshr_merges);
         $op!($($ctx)*, "sim.l2.reservation_fails", sim, l2, reservation_fails);
-        $op!($($ctx)*, "sim.l2.evictions", sim, l2, evictions);
         $op!($($ctx)*, "sim.l2.writebacks", sim, l2, writebacks);
         $op!($($ctx)*, "sim.l2.bypasses", sim, l2, bypasses);
         $op!($($ctx)*, "sim.sm.instructions", sim, sm, instructions);
@@ -88,12 +86,8 @@ macro_rules! with_int_fields {
         $op!($($ctx)*, "sim.outgoing_requests", sim, outgoing_requests);
         $op!($($ctx)*, "sim.req_net.packets", sim, req_net, packets);
         $op!($($ctx)*, "sim.req_net.flits", sim, req_net, flits);
-        $op!($($ctx)*, "sim.req_net.queue_depth_sum", sim, req_net, queue_depth_sum);
-        $op!($($ctx)*, "sim.req_net.cycles", sim, req_net, cycles);
         $op!($($ctx)*, "sim.rsp_net.packets", sim, rsp_net, packets);
         $op!($($ctx)*, "sim.rsp_net.flits", sim, rsp_net, flits);
-        $op!($($ctx)*, "sim.rsp_net.queue_depth_sum", sim, rsp_net, queue_depth_sum);
-        $op!($($ctx)*, "sim.rsp_net.cycles", sim, rsp_net, cycles);
         $op!($($ctx)*, "sim.dram_accesses", sim, dram_accesses);
         $op!($($ctx)*, "sim.dram_row_hits", sim, dram_row_hits);
         $op!($($ctx)*, "sim.energy.sram_reads", sim, energy, sram_reads);
@@ -115,10 +109,8 @@ macro_rules! with_int_fields {
         $op!($($ctx)*, "metrics.migrations_to_stt", metrics, migrations_to_stt);
         $op!($($ctx)*, "metrics.migrations_to_sram", metrics, migrations_to_sram);
         $op!($($ctx)*, "metrics.woro_evictions", metrics, woro_evictions);
-        $op!($($ctx)*, "metrics.swap_fallback_evictions", metrics, swap_fallback_evictions);
         $op!($($ctx)*, "metrics.stt_write_updates", metrics, stt_write_updates);
         $op!($($ctx)*, "metrics.tq_flushes", metrics, tq_flushes);
-        $op!($($ctx)*, "metrics.tq_flushed_cmds", metrics, tq_flushed_cmds);
         $op!($($ctx)*, "metrics.bypassed_loads", metrics, bypassed_loads);
         $op!($($ctx)*, "metrics.bypassed_stores", metrics, bypassed_stores);
         $op!($($ctx)*, "metrics.accuracy.trues", metrics, accuracy, trues);
@@ -127,8 +119,6 @@ macro_rules! with_int_fields {
         $op!($($ctx)*, "metrics.cbf.tests", metrics, cbf, tests);
         $op!($($ctx)*, "metrics.cbf.positives", metrics, cbf, positives);
         $op!($($ctx)*, "metrics.cbf.false_positives", metrics, cbf, false_positives);
-        $op!($($ctx)*, "metrics.cbf.increments", metrics, cbf, increments);
-        $op!($($ctx)*, "metrics.cbf.decrements", metrics, cbf, decrements);
         $op!($($ctx)*, "metrics.refresh_events", metrics, refresh_events);
     };
 }

@@ -44,9 +44,11 @@ if ! $quick; then
 
     # --workspace covers every member crate, fuse-obs (the observability
     # layer) included — a new crate joins fmt/clippy coverage by joining
-    # the workspace, no edit here required.
-    echo "==> cargo clippy (workspace, all targets, -D warnings)"
-    cargo clippy --workspace --all-targets -- -D warnings
+    # the workspace, no edit here required. --all-features compiles every
+    # feature-gated item too, so gated code that cannot build offline
+    # fails here instead of rotting unbuilt.
+    echo "==> cargo clippy (workspace, all targets, all features, -D warnings)"
+    cargo clippy --workspace --all-targets --all-features -- -D warnings
 
     # Broken intra-doc links fail here, so deleting a module cannot leave
     # dangling references to it in the docs of the modules that remain.
